@@ -14,8 +14,9 @@ Subcommands::
     check FILE               full cross-check suite on one instance
     fuzz [--count N] [--seed S]  random instances through every cross-check
 
-Exit codes: 0 success or true verdict, 1 false verdict, 2 input error,
-3 invariant violation.
+Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
+(including a formula nested past the recursion limit), 3 invariant
+violation.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 
 def _event_payload(e: Event) -> list[str]:
-    return [e.partition.names[i] for i in sorted(e.members)]
+    names = e.partition.names
+    return [names[i] for i in sorted(e.members)]
 
 
 def _value_payload(r: Randomization, e: RandomElement) -> list:
@@ -216,6 +218,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     outcomes = run_fuzz(args.count, args.seed)
     lines = []
     failures = []
@@ -320,6 +324,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
 
 

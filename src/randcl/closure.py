@@ -24,6 +24,7 @@ from .theory import (
     definable_in_model,
     isolating_formulas,
     isolating_vars,
+    type_key,
 )
 
 Param = str | RandomElement
@@ -48,11 +49,10 @@ def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter name")
     out: list[RandomElement] = []
-    seen: set[tuple[Value, ...]] = set()
     for p in params:
         e = _resolve_elem(r, p)
-        if e.values not in seen:
-            seen.add(e.values)
+        # compared, not hashed: Fraction hashing is slow and params are few
+        if all(e.values != o.values for o in out):
             out.append(e)
     return out
 
@@ -61,18 +61,11 @@ def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
 # event algebras
 # ---------------------------------------------------------------------------
 
-def _type_key(sig, values: tuple[Value, ...]) -> tuple:
-    if sig.is_dlo:
-        rank = {v: k for k, v in enumerate(sorted(set(values)))}
-        return tuple(rank[v] for v in values)
-    return values
-
-
 def _group_indices(r: Randomization, elems: Sequence[RandomElement]) -> list[tuple[int, ...]]:
     """Partition atom indices grouped by the order type of the parameters."""
     groups: dict[tuple, list[int]] = {}
     for i in range(r.partition.size):
-        key = _type_key(r.sig, tuple(e.values[i] for e in elems))
+        key = type_key(r.sig, tuple(e.values[i] for e in elems))
         groups.setdefault(key, []).append(i)
     return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
 
@@ -160,8 +153,8 @@ def fo_definable_on(
     refined_key = {}
     for i in range(r.partition.size):
         vals = tuple(x.values[i] for x in elems)
-        base_key[i] = _type_key(r.sig, vals)
-        refined_key[i] = _type_key(r.sig, vals + (b.values[i],))
+        base_key[i] = type_key(r.sig, vals)
+        refined_key[i] = type_key(r.sig, vals + (b.values[i],))
     refined_groups: dict[tuple, list[int]] = {}
     for i in range(r.partition.size):
         refined_groups.setdefault(refined_key[i], []).append(i)

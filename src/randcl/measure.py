@@ -7,9 +7,27 @@ distance, generated subalgebras, refinement) stays in exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+def as_fraction(v: object) -> Fraction:
+    """v as an exact Fraction; a float is refused rather than rounded."""
+    if isinstance(v, float):
+        raise ValueError(
+            f"float {v!r} is not exact; use a Fraction, an int or a fraction string"
+        )
+    return Fraction(v)
+
+
+def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
+    """Sum of Fractions over their common denominator: one integer pass
+    instead of a normalizing Fraction addition per term."""
+    ws = list(weights)
+    denom = math.lcm(*(w.denominator for w in ws))
+    return Fraction(sum(w.numerator * (denom // w.denominator) for w in ws), denom)
 
 
 @dataclass(frozen=True)
@@ -17,7 +35,10 @@ class Partition:
     atoms: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        atoms = tuple((str(n), Fraction(w)) for n, w in self.atoms)
+        atoms = tuple(
+            (str(n), w if type(w) is Fraction else as_fraction(w))
+            for n, w in self.atoms
+        )
         object.__setattr__(self, "atoms", atoms)
         names = [n for n, _ in atoms]
         if len(set(names)) != len(names):
@@ -27,7 +48,7 @@ class Partition:
         for n, w in atoms:
             if w <= 0:
                 raise ValueError(f"atom {n!r} has nonpositive weight {w}")
-        total = sum(w for _, w in atoms)
+        total = _exact_sum(w for _, w in atoms)
         if total != 1:
             raise ValueError(f"weights sum to {total}")
 
@@ -60,7 +81,7 @@ class Partition:
 
 
 def partition(pairs: Iterable[tuple[str, Fraction | int | str]]) -> Partition:
-    return Partition(tuple((n, Fraction(w)) for n, w in pairs))
+    return Partition(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -77,9 +98,7 @@ class Event:
 
     @property
     def prob(self) -> Fraction:
-        return sum(
-            (self.partition.weight(i) for i in self.members), Fraction(0)
-        )
+        return _exact_sum(self.partition.weight(i) for i in self.members)
 
     def is_top(self) -> bool:
         return len(self.members) == self.partition.size

@@ -42,16 +42,21 @@ def _theory_string(sig: Signature) -> str:
     return "dlo" if sig.is_dlo else f"enum({sig.n})"
 
 
-def _parse_fraction(raw: object, what: str) -> Fraction:
+def _parse_fraction(raw: object, what: str, memo: dict[str, Fraction]) -> Fraction:
+    """raw as an exact Fraction.  memo maps the strings already parsed from
+    this file to their values, so a string that repeats is parsed once."""
     if not isinstance(raw, str):
         raise ValueError(f"{what} must be an exact fraction string, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad fraction {raw!r} for {what}") from None
+    value = memo.get(raw)
+    if value is None:
+        try:
+            value = memo[raw] = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad fraction {raw!r} for {what}") from None
+    return value
 
 
-def _parse_atoms(raw: object) -> Partition:
+def _parse_atoms(raw: object, memo: dict[str, Fraction]) -> Partition:
     if not isinstance(raw, list) or not raw:
         raise ValueError("atoms must be a nonempty list of [name, weight] pairs")
     pairs = []
@@ -63,7 +68,7 @@ def _parse_atoms(raw: object) -> Partition:
         ):
             raise ValueError(f"atom entry must be a [name, weight] pair, got {entry!r}")
         name, w = entry
-        pairs.append((name, _parse_fraction(w, f"weight of atom {name!r}")))
+        pairs.append((name, _parse_fraction(w, f"weight of atom {name!r}", memo)))
     return partition(pairs)
 
 
@@ -75,7 +80,8 @@ def from_payload(payload: object) -> Randomization:
         if key not in payload:
             raise ValueError(f"missing field {key!r}")
     sig = _parse_theory(payload["theory"])
-    part = _parse_atoms(payload["atoms"])
+    memo: dict[str, Fraction] = {}
+    part = _parse_atoms(payload["atoms"], memo)
     raw_elems = payload["elements"]
     if not isinstance(raw_elems, dict):
         raise ValueError("elements must map names to value lists")
@@ -84,9 +90,8 @@ def from_payload(payload: object) -> Randomization:
         if not isinstance(vals, list):
             raise ValueError(f"element {name!r} must be a list of values")
         if sig.is_dlo:
-            elements[name] = [
-                _parse_fraction(v, f"value of element {name!r}") for v in vals
-            ]
+            what = f"value of element {name!r}"
+            elements[name] = [_parse_fraction(v, what, memo) for v in vals]
         else:
             for v in vals:
                 if isinstance(v, bool) or not isinstance(v, int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 from .formula import (
@@ -20,8 +21,8 @@ from .formula import (
     check_signature,
     free_vars,
 )
-from .measure import Event, Partition
-from .theory import Value, eval_qf, evaluate, qe
+from .measure import Event, Partition, as_fraction
+from .theory import Value, eval_enum, eval_qf, evaluate, qe, type_key
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,9 @@ class RandomElement:
                 f"{self.partition.size} atoms"
             )
         if self.sig.is_dlo:
-            vals = tuple(Fraction(v) for v in self.values)
+            vals = tuple(
+                v if type(v) is Fraction else as_fraction(v) for v in self.values
+            )
         else:
             assert self.sig.n is not None
             for v in self.values:
@@ -59,6 +62,9 @@ class Randomization:
     sig: Signature
     partition: Partition
     elements: dict[str, RandomElement] = field(default_factory=dict)
+    _last_type_rows: tuple[tuple[RandomElement, ...], list[tuple]] = field(
+        default=((), []), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for name, e in self.elements.items():
@@ -111,6 +117,23 @@ def _resolve_binding(
     return out
 
 
+def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple]:
+    """theory.type_key of the elements' values on each atom.
+
+    The deciders evaluate thousands of formulas over one element tuple, so
+    r keeps the rows of the last tuple asked for (one entry; elements are
+    immutable, so an equal tuple has the same rows).
+    """
+    if not elems:
+        return [()] * r.partition.size
+    cached, rows = r._last_type_rows
+    if cached == elems:
+        return rows
+    rows = [type_key(r.sig, vals) for vals in zip(*(e.values for e in elems))]
+    r._last_type_rows = (elems, rows)
+    return rows
+
+
 def eval_event(
     r: Randomization,
     f: Formula,
@@ -118,27 +141,30 @@ def eval_event(
 ) -> Event:
     """The event on which f holds, with variables bound to elements.
 
-    The formula is decided pointwise on each partition atom; for DLO it is
-    put through quantifier elimination once, for FiniteEnum quantifiers
-    range over the finite domain.
+    The truth of f on an atom depends only on the type of the bound value
+    tuple there (theory.type_key), so f is decided once per distinct type,
+    on the type key itself: for DLO through quantifier elimination, for
+    FiniteEnum with quantifiers ranging over the finite domain.
     """
     check_signature(f, r.sig)
     bound = _resolve_binding(r, binding)
     for v in free_vars(f):
         if v not in bound:
             raise ValueError(f"unassigned free variable {v!r}")
-    members = set()
     if r.sig.is_dlo:
-        g = qe(f)
-        for i in range(r.partition.size):
-            assign = {var: e.values[i] for var, e in bound.items()}
-            if eval_qf(g, assign):
-                members.add(i)
+        decide = partial(eval_qf, qe(f))
     else:
-        for i in range(r.partition.size):
-            assign = {var: e.values[i] for var, e in bound.items()}
-            if evaluate(r.sig, f, assign):
-                members.add(i)
+        assert r.sig.n is not None
+        decide = partial(eval_enum, r.sig.n, f)
+    names = tuple(bound)
+    verdicts: dict[tuple, bool] = {}
+    members = []
+    for i, key in enumerate(_type_rows(r, tuple(bound.values()))):
+        holds = verdicts.get(key)
+        if holds is None:
+            holds = verdicts[key] = decide(dict(zip(names, key)))
+        if holds:
+            members.append(i)
     return Event(r.partition, frozenset(members))
 
 

@@ -10,6 +10,7 @@ enumerations that drive the closure operators.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -339,19 +340,24 @@ def _check_assignment(f: Formula, assign: Mapping[str, Value]) -> None:
             raise ValueError(f"unassigned free variable {v!r}")
 
 
-def _eval_enum(n: int, f: Formula, assign: dict[str, Value]) -> bool:
+def eval_enum(n: int, f: Formula, assign: dict[str, Value]) -> bool:
+    """Truth of f over the domain 0..n-1; quantifiers range over it.
+
+    assign must cover the free variables of f; it is used as scratch
+    space for bound variables and restored before returning.
+    """
     if isinstance(f, (Atom, Truth, Falsity)):
         return eval_qf(f, assign)
     if isinstance(f, Not):
-        return not _eval_enum(n, f.body, assign)
+        return not eval_enum(n, f.body, assign)
     if isinstance(f, And):
-        return _eval_enum(n, f.lhs, assign) and _eval_enum(n, f.rhs, assign)
+        return eval_enum(n, f.lhs, assign) and eval_enum(n, f.rhs, assign)
     if isinstance(f, Or):
-        return _eval_enum(n, f.lhs, assign) or _eval_enum(n, f.rhs, assign)
+        return eval_enum(n, f.lhs, assign) or eval_enum(n, f.rhs, assign)
     if isinstance(f, Implies):
-        return (not _eval_enum(n, f.lhs, assign)) or _eval_enum(n, f.rhs, assign)
+        return (not eval_enum(n, f.lhs, assign)) or eval_enum(n, f.rhs, assign)
     if isinstance(f, Iff):
-        return _eval_enum(n, f.lhs, assign) == _eval_enum(n, f.rhs, assign)
+        return eval_enum(n, f.lhs, assign) == eval_enum(n, f.rhs, assign)
     if isinstance(f, (Exists, Forall)):
         had_outer = f.var in assign
         outer = assign.get(f.var)
@@ -359,7 +365,7 @@ def _eval_enum(n: int, f: Formula, assign: dict[str, Value]) -> bool:
         result = not want_any
         for d in range(n):
             assign[f.var] = d
-            truth = _eval_enum(n, f.body, assign)
+            truth = eval_enum(n, f.body, assign)
             if truth == want_any:
                 result = want_any
                 break
@@ -377,7 +383,32 @@ def evaluate(sig: Signature, f: Formula, assign: Mapping[str, Value]) -> bool:
     if sig.is_dlo:
         return eval_qf(qe(f), assign)
     assert sig.n is not None
-    return _eval_enum(sig.n, f, dict(assign))
+    return eval_enum(sig.n, f, dict(assign))
+
+
+def type_key(sig: Signature, values: Sequence[Value]) -> tuple:
+    """The complete type of a value tuple inside one model of the theory.
+
+    For DLO formulas, which carry no constants, this is the order type:
+    the dense rank of each value.  Under an enumerated domain every point
+    is named, so the type is the tuple itself.  Two tuples with the same
+    key satisfy the same formulas, and so does the key itself: the ranks
+    are ordered as the values are.
+    """
+    if not sig.is_dlo:
+        return tuple(values)
+    # over a common denominator the order is that of plain ints, which
+    # compare far faster than Fractions
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    order = sorted(range(len(scaled)), key=scaled.__getitem__)
+    key = [0] * len(scaled)
+    rank = 0
+    for prev, i in zip(order, order[1:]):
+        if scaled[i] != scaled[prev]:
+            rank += 1
+        key[i] = rank
+    return tuple(key)
 
 
 def eval_direct(f: Formula, assign: Mapping[str, Value]) -> bool:

@@ -148,6 +148,15 @@ def test_fuzz_deterministic(capsys):
     assert out1.strip().endswith("5/5 instances passed all cross-checks")
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fuzz_count_below_one_exit_two(capsys, count):
+    code = main(["fuzz", "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
 # ---------------------------------------------------------------------------
 # structured output
 # ---------------------------------------------------------------------------
@@ -207,3 +216,11 @@ def test_unknown_atom_in_event_exit_two(capsys):
     code = main(["glue", SWAP, "a", "b", "w9"])
     assert code == 2
     assert "unknown atom" in capsys.readouterr().err
+
+
+def test_deeply_nested_formula_exit_two(capsys):
+    code = main(["eval", SWAP, " & ".join(["a < b"] * 1500)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply to process\n"

@@ -53,6 +53,23 @@ def test_atom_names_unique():
         partition([("w", "1/2"), ("w", "1/2")])
 
 
+def test_partition_rejects_float_weights():
+    with pytest.raises(ValueError, match="float 0.5 is not exact"):
+        partition([("w1", 0.5), ("w2", "1/2")])
+
+
+def test_partition_class_rejects_float_weights():
+    with pytest.raises(ValueError, match="float 0.25 is not exact"):
+        Partition((("w1", Fraction(3, 4)), ("w2", 0.25)))
+
+
+def test_exact_weights_accepted_in_every_form():
+    p = partition([("w1", HALF), ("w2", "1/4"), ("w3", Fraction(1, 4))])
+    assert [w for _, w in p.atoms] == [HALF, Fraction(1, 4), Fraction(1, 4)]
+    assert all(type(w) is Fraction for _, w in p.atoms)
+    assert Partition((("w1", 1),)).weight(0) == 1
+
+
 def test_event_accepts_names_and_indices(halves):
     assert halves.event(["w1"]) == halves.event([0])
     with pytest.raises(ValueError, match="unknown atom"):

@@ -50,6 +50,15 @@ def test_element_validation(swap_pair):
         RandomElement(finite_enum(2), part, (0, True))
 
 
+def test_element_rejects_float_values(swap_pair):
+    part = swap_pair.partition
+    with pytest.raises(ValueError, match="float 0.1 is not exact"):
+        RandomElement(DLO, part, (0.1, 2))
+    e = RandomElement(DLO, part, (1, "3/2"))
+    assert e.values == (1, Fraction(3, 2))
+    assert all(type(v) is Fraction for v in e.values)
+
+
 def test_unknown_element(swap_pair):
     with pytest.raises(ValueError, match="unknown element 'z'"):
         swap_pair.element("z")
