@@ -16,7 +16,7 @@ Subcommands::
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
 (including a formula nested past the recursion limit), 3 invariant
-violation.
+violation or internal error.
 """
 
 from __future__ import annotations
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return 2
+    except Exception as exc:  # an engine fault: one line, never a traceback
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The operators here answer, in several deliberately independent ways, which
 events and which elements are definable from a finite tuple of random
-elements: the event algebra generated by the isolating-formula events, the
+elements: the event algebra generated by the isolating-formula events (one
+formula per type the parameters realize on some atom), the
 pointwise test inside each fiber model, per-event definability through
 functional formulas, whole-element deciders, exhaustive closure
 enumerations, and a fixpoint closure under the four-argument if_less
@@ -16,13 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .formula import Exists, Formula, Var
+from .formula import Exists, Formula
 from .measure import Event, EventAlgebra, generated_algebra
-from .randvar import RandomElement, Randomization, differs, eval_event, if_less
+from .randvar import (
+    RandomElement,
+    Randomization,
+    _type_rows,
+    differs,
+    eval_event,
+    if_less,
+)
 from .theory import (
     Value,
     definable_in_model,
-    isolating_formulas,
+    isolating_formula,
     isolating_vars,
     type_key,
 )
@@ -30,8 +38,9 @@ from .theory import (
 Param = str | RandomElement
 ParamSet = Sequence[Param]
 
-# above this many parameters the generated-algebra route would enumerate
-# too many isolating formulas; an equivalent order-type grouping takes over
+# above this many parameters the generated-algebra route is not taken: it
+# evaluates one isolating formula per type realized on some atom, each over
+# every atom, and an equivalent order-type grouping answers in one pass
 _ISOLATING_LIMIT = 5
 _ISOLATING_LIMIT_ENUM = 1024
 
@@ -76,12 +85,47 @@ def _algebra_by_type(r: Randomization, elems: Sequence[RandomElement]) -> EventA
     )
 
 
+def _realized_isolating(
+    r: Randomization, elems: Sequence[RandomElement]
+) -> list[Formula]:
+    """The isolating formulas of the element tuple's types that occur on
+    some atom, in first-atom order.
+
+    Every other isolating formula has the null event.  The keys come from
+    randvar._type_rows, so evaluating these formulas over the same tuple
+    reuses its rows.
+    """
+    keys = dict.fromkeys(_type_rows(r, tuple(elems)))
+    return [isolating_formula(r.sig, key) for key in keys]
+
+
+def _realized_events(
+    r: Randomization, elems: Sequence[RandomElement]
+) -> list[tuple[Formula, Event]]:
+    """Each realized isolating formula of the tuple with its event under
+    v1..vn := elems, evaluated through eval_event.
+
+    The isolating formulas are pairwise exclusive, so events whose union
+    is the sure event prove that no formula left out has a non-null event.
+    Anything less is an engine fault and raises.
+    """
+    binding = dict(zip(isolating_vars(len(elems)), elems))
+    out = [(psi, eval_event(r, psi, binding)) for psi in _realized_isolating(r, elems)]
+    covered = frozenset().union(*(ev.members for _, ev in out))
+    if len(covered) != r.partition.size:
+        raise RuntimeError(
+            "events of the realized isolating formulas do not cover the space"
+        )
+    return out
+
+
 def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
     """The finite algebra of events definable from the given parameters.
 
     Built as the subalgebra generated by the isolating-formula events of
-    the parameter tuple; since those events split the space by order type,
-    very large parameter tuples use the equivalent direct grouping.
+    the parameter tuple, one formula per type the tuple realizes on some
+    atom (the others have null events, which split nothing); very large
+    parameter tuples use the equivalent direct grouping by type.
     """
     elems = _resolve_params(r, params)
     n = len(elems)
@@ -90,10 +134,7 @@ def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
     )
     if not small:
         return _algebra_by_type(r, elems)
-    binding = dict(zip(isolating_vars(n), elems))
-    events = [
-        eval_event(r, psi, binding) for psi in isolating_formulas(r.sig, n)
-    ]
+    events = [ev for _, ev in _realized_events(r, elems)]
     return generated_algebra(r.partition, events)
 
 
@@ -191,31 +232,25 @@ def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
 
 def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> bool:
     """Ordered-theory decider: on every nonempty isolating event of the
-    parameters, the element must coincide with one of them."""
+    parameters (those of the types realized on some atom), the element
+    must coincide with one of them."""
     if not r.sig.is_dlo:
         raise ValueError("pinning decider needs an ordered theory")
     b = _resolve_elem(r, elem)
     elems = _resolve_params(r, params)
-    n = len(elems)
-    binding = dict(zip(isolating_vars(n), elems))
-    for psi in isolating_formulas(r.sig, n):
-        ev = eval_event(r, psi, binding)
-        if ev.is_bottom():
-            continue
-        agrees = any(
-            ev.members <= (~differs(b, x)).members for x in elems
-        )
-        if not agrees:
-            return False
-    return True
+    return all(
+        any(ev.members <= (~differs(b, x)).members for x in elems)
+        for _, ev in _realized_events(r, elems)
+    )
 
 
 def is_definable_by_isolating_events(
     r: Randomization, elem: Param, params: ParamSet
 ) -> bool:
     """Cross-check decider: pointwise definability plus, for every isolating
-    formula of (parameters, element) with positive weight, the formula's
-    event equals the event of its existential projection."""
+    formula of (parameters, element) with positive weight (those of the
+    types realized on some atom), the formula's event equals the event of
+    its existential projection."""
     if not is_pointwise_definable(r, elem, params):
         return False
     b = _resolve_elem(r, elem)
@@ -223,14 +258,10 @@ def is_definable_by_isolating_events(
     n = len(elems)
     u = f"v{n + 1}"
     base_binding = dict(zip(isolating_vars(n), elems))
-    for phi in isolating_formulas(r.sig, n + 1):
-        ev = eval_event(r, phi, {**base_binding, u: b})
-        if ev.is_bottom():
-            continue
-        projected = eval_event(r, Exists(u, phi), base_binding)
-        if ev != projected:
-            return False
-    return True
+    return all(
+        ev == eval_event(r, Exists(u, phi), base_binding)
+        for phi, ev in _realized_events(r, elems + [b])
+    )
 
 
 def piecewise_definable(

@@ -8,7 +8,7 @@ distance, generated subalgebras, refinement) stays in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,6 +33,8 @@ def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
 @dataclass(frozen=True)
 class Partition:
     atoms: tuple[tuple[str, Fraction], ...]
+    # atom name -> index, derived from atoms
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(
@@ -40,9 +42,10 @@ class Partition:
             for n, w in self.atoms
         )
         object.__setattr__(self, "atoms", atoms)
-        names = [n for n, _ in atoms]
-        if len(set(names)) != len(names):
+        index = {n: i for i, (n, _) in enumerate(atoms)}
+        if len(index) != len(atoms):
             raise ValueError("duplicate atom names")
+        object.__setattr__(self, "_index", index)
         if not atoms:
             raise ValueError("a partition needs at least one atom")
         for n, w in atoms:
@@ -64,10 +67,10 @@ class Partition:
         return self.atoms[i][1]
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.atoms):
-            if n == name:
-                return i
-        raise ValueError(f"unknown atom {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"unknown atom {name!r}") from None
 
     def event(self, members: Iterable[int | str]) -> Event:
         idx = {m if isinstance(m, int) else self.index(m) for m in members}

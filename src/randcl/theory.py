@@ -283,7 +283,13 @@ def _qe(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=None)
+# fixed bound on remembered qe results, so a long-lived process (a long
+# fuzz run, a library user's loop) keeps flat memory; a deciding request
+# fills a few hundred entries at most
+_QE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_QE_CACHE_SIZE)
 def qe(f: Formula) -> Formula:
     """Quantifier-free DLO equivalent of f.
 
@@ -543,6 +549,30 @@ def isolating_formulas(sig: Signature, n: int) -> list[Formula]:
         return list(_isolating_dlo(n))
     assert sig.n is not None
     return list(_isolating_enum(n, sig.n))
+
+
+def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
+    """The member of isolating_formulas(sig, len(key)) satisfied by every
+    tuple whose type_key is key.
+
+    For a dense linear order the variables are sorted by (rank, index) and
+    chained with < between ranks and = inside one, which is the
+    representative _isolating_dlo builds for that weak ordering; for
+    FiniteEnum each vi is pinned to its constant.
+    """
+    if not sig.is_dlo:
+        return conj_all(
+            Atom(Var(f"v{i + 1}"), "=", Const(c)) for i, c in enumerate(key)
+        )
+    order = sorted(range(len(key)), key=lambda i: (key[i], i))
+    return conj_all(
+        Atom(
+            Var(f"v{i + 1}"),
+            "=" if key[i] == key[j] else "<",
+            Var(f"v{j + 1}"),
+        )
+        for i, j in zip(order, order[1:])
+    )
 
 
 def definable_in_model(sig: Signature, value: Value, params: Sequence[Value]) -> bool:

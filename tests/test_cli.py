@@ -224,3 +224,17 @@ def test_deeply_nested_formula_exit_two(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: input nested too deeply to process\n"
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    import randcl.cli
+
+    def broken(args):
+        raise RuntimeError("engine fault\nsecond line")
+
+    monkeypatch.setattr(randcl.cli, "_cmd_eval", broken)
+    code = main(["eval", SWAP, "a < b"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: engine fault second line\n"

@@ -212,3 +212,21 @@ def test_refine_preserves_event_dist(thirds):
     assert event_dist(e1, e2) == event_dist(
         transport_event(e1, fine, mapping), transport_event(e2, fine, mapping)
     )
+
+
+def test_event_by_name_matches_scan():
+    n = 8000
+    part = partition((f"a{i}", Fraction(1, n)) for i in range(n))
+    names = [f"a{i}" for i in range(0, n, 2)]
+    wanted = set(names)
+    scanned = frozenset(i for i, (name, _) in enumerate(part.atoms) if name in wanted)
+    assert part.event(names).members == scanned
+    assert part.index("a7999") == n - 1
+    with pytest.raises(ValueError, match="unknown atom 'zz'"):
+        part.event(["a0", "zz"])
+
+
+def test_name_index_is_not_compared_or_shown(halves):
+    twin = partition([("w1", "1/2"), ("w2", "1/2")])
+    assert twin == halves and hash(twin) == hash(halves)
+    assert "_index" not in repr(halves)

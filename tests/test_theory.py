@@ -70,6 +70,11 @@ def test_qe_rejects_enum_formulas():
         qe(parse("x = c0", E2))
 
 
+def test_qe_cache_is_bounded():
+    maxsize = qe.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10**6
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
