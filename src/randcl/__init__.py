@@ -76,7 +76,6 @@ from .closure import (
     DefinabilityReport,
     definability_report,
     definable_closure,
-    definable_event_algebra,
     fo_definable_closure,
     fo_definable_on,
     fo_event_algebra,
@@ -112,11 +111,10 @@ __all__ = [
     "transport_elem", "witness",
     # closure
     "DefinabilityReport", "definability_report", "definable_closure",
-    "definable_event_algebra", "fo_definable_closure", "fo_definable_on",
-    "fo_event_algebra", "if_less_closure", "is_definable",
-    "is_definable_by_isolating_events", "is_definable_by_pinning",
-    "is_pointwise_definable", "piecewise_definable",
-    "pointwise_definable_event",
+    "fo_definable_closure", "fo_definable_on", "fo_event_algebra",
+    "if_less_closure", "is_definable", "is_definable_by_isolating_events",
+    "is_definable_by_pinning", "is_pointwise_definable",
+    "piecewise_definable", "pointwise_definable_event",
     # randfile
     "dump", "dumps", "load", "loads",
 ]

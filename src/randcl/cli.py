@@ -30,7 +30,7 @@ from .checks import run_checks, run_fuzz
 from .closure import (
     definability_report,
     definable_closure,
-    definable_event_algebra,
+    fo_event_algebra,
     if_less_closure,
     pointwise_definable_event,
 )
@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dclb(args) -> int:
     r = load(args.file)
-    alg = definable_event_algebra(r, args.params)
+    alg = fo_event_algebra(r, args.params)
     text = f"{len(alg.atoms)} atoms: " + ", ".join(str(e) for e in alg.atoms)
     _emit(args, [text], {"atoms": [_event_payload(e) for e in alg.atoms]})
     return 0

@@ -2,12 +2,12 @@
 
 The operators here answer, in several deliberately independent ways, which
 events and which elements are definable from a finite tuple of random
-elements: the event algebra generated by the isolating-formula events (one
-formula per type the parameters realize on some atom), the
-pointwise test inside each fiber model, per-event definability through
-functional formulas, whole-element deciders, exhaustive closure
-enumerations, and a fixpoint closure under the four-argument if_less
-combinator.
+elements: the event algebra of the parameters' types, the pointwise test
+inside each fiber model, per-event definability through functional
+formulas, whole-element deciders (two of them on the isolating-formula
+events, one formula per type the parameters realize on some atom),
+exhaustive closure enumerations, and a fixpoint closure under the
+four-argument if_less combinator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .formula import Exists, Formula
-from .measure import Event, EventAlgebra, generated_algebra
+from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
     Randomization,
@@ -37,13 +37,6 @@ from .theory import (
 
 Param = str | RandomElement
 ParamSet = Sequence[Param]
-
-# above this many parameters the generated-algebra route is not taken: it
-# evaluates one isolating formula per type realized on some atom, each over
-# every atom, and an equivalent order-type grouping answers in one pass
-_ISOLATING_LIMIT = 5
-_ISOLATING_LIMIT_ENUM = 1024
-
 
 def _resolve_elem(r: Randomization, p: Param) -> RandomElement:
     if isinstance(p, str):
@@ -73,16 +66,9 @@ def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
 def _group_indices(r: Randomization, elems: Sequence[RandomElement]) -> list[tuple[int, ...]]:
     """Partition atom indices grouped by the order type of the parameters."""
     groups: dict[tuple, list[int]] = {}
-    for i in range(r.partition.size):
-        key = type_key(r.sig, tuple(e.values[i] for e in elems))
+    for i, key in enumerate(_type_rows(r, tuple(elems))):
         groups.setdefault(key, []).append(i)
     return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def _algebra_by_type(r: Randomization, elems: Sequence[RandomElement]) -> EventAlgebra:
-    return EventAlgebra(
-        tuple(Event(r.partition, frozenset(g)) for g in _group_indices(r, elems))
-    )
 
 
 def _realized_isolating(
@@ -122,26 +108,15 @@ def _realized_events(
 def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
     """The finite algebra of events definable from the given parameters.
 
-    Built as the subalgebra generated by the isolating-formula events of
-    the parameter tuple, one formula per type the tuple realizes on some
-    atom (the others have null events, which split nothing); very large
-    parameter tuples use the equivalent direct grouping by type.
+    Two atoms satisfy the same formulas over the parameters exactly when
+    the parameters have the same type on both, so the algebra's atoms are
+    the groups of atoms by parameter type.  checks.isolating_event_algebra
+    builds it independently, from the isolating-formula events.
     """
     elems = _resolve_params(r, params)
-    n = len(elems)
-    small = n <= _ISOLATING_LIMIT if r.sig.is_dlo else (
-        r.sig.n is not None and r.sig.n ** n <= _ISOLATING_LIMIT_ENUM
+    return EventAlgebra(
+        tuple(Event(r.partition, frozenset(g)) for g in _group_indices(r, elems))
     )
-    if not small:
-        return _algebra_by_type(r, elems)
-    events = [ev for _, ev in _realized_events(r, elems)]
-    return generated_algebra(r.partition, events)
-
-
-def definable_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
-    """Alias of fo_event_algebra: at this finite scale the closure of the
-    parameter-definable events adds nothing new."""
-    return fo_event_algebra(r, params)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +200,7 @@ def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
     if not is_pointwise_definable(r, elem, params):
         return False
     b = _resolve_elem(r, elem)
-    base = definable_event_algebra(r, params)
+    base = fo_event_algebra(r, params)
     refined = fo_event_algebra(r, tuple(params) + (b,))
     return all(base.contains(atom) for atom in refined.atoms)
 
@@ -274,7 +249,7 @@ def piecewise_definable(
     qualify on its own, so the atoms are checked directly; the returned
     family lists the passing atoms.
     """
-    base = definable_event_algebra(r, params)
+    base = fo_event_algebra(r, params)
     family = tuple(
         atom for atom in base.atoms if fo_definable_on(r, elem, atom, params)
     )

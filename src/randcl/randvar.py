@@ -18,11 +18,10 @@ from .formula import (
     Exists,
     Formula,
     Signature,
-    check_signature,
     free_vars,
 )
 from .measure import Event, Partition, as_fraction
-from .theory import Value, eval_enum, eval_qf, evaluate, qe, type_key
+from .theory import Value, eval_qf, qe, type_key
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,14 @@ def eval_event(
 
     The truth of f on an atom depends only on the type of the bound value
     tuple there (theory.type_key), so f is decided once per distinct type,
-    on the type key itself: for DLO through quantifier elimination, for
-    FiniteEnum with quantifiers ranging over the finite domain.
+    on the type key itself, by eval_qf on qe(f) in either theory.  A
+    symbol outside the signature raises before an unbound variable does.
     """
-    check_signature(f, r.sig)
+    decide = partial(eval_qf, qe(f, r.sig))
     bound = _resolve_binding(r, binding)
     for v in free_vars(f):
         if v not in bound:
             raise ValueError(f"unassigned free variable {v!r}")
-    if r.sig.is_dlo:
-        decide = partial(eval_qf, qe(f))
-    else:
-        assert r.sig.n is not None
-        decide = partial(eval_enum, r.sig.n, f)
     names = tuple(bound)
     verdicts: dict[tuple, bool] = {}
     members = []
@@ -262,32 +256,28 @@ def witness(
     values are bound.  For FiniteEnum the smallest satisfying domain value
     is chosen, default 0.
     """
-    check_signature(theta, r.sig)
+    g = qe(theta, r.sig)
     bound = _resolve_binding(r, binding or {})
     for v in free_vars(theta):
         if v != u and v not in bound:
             raise ValueError(f"unassigned free variable {v!r}")
-
-    values: list[Value] = []
     if r.sig.is_dlo:
-        g = qe(theta)
-        for i in range(r.partition.size):
-            assign: dict[str, Value] = {
-                var: e.values[i] for var, e in bound.items() if var != u
-            }
-            values.append(_pick_dlo(g, u, assign))
+        pick = _pick_dlo
     else:
         assert r.sig.n is not None
-        for i in range(r.partition.size):
-            assign = {var: e.values[i] for var, e in bound.items() if var != u}
-            chosen: Value = 0
-            for d in range(r.sig.n):
-                assign[u] = d
-                if evaluate(r.sig, theta, assign):
-                    chosen = d
-                    break
-            values.append(chosen)
+        pick = partial(_pick_enum, r.sig.n)
+    values = [
+        pick(g, u, {var: e.values[i] for var, e in bound.items() if var != u})
+        for i in range(r.partition.size)
+    ]
     return RandomElement(r.sig, r.partition, tuple(values))
+
+
+def _pick_enum(n: int, g: Formula, u: str, assign: dict[str, Value]) -> int:
+    for d in range(n):
+        if eval_qf(g, {**assign, u: d}):
+            return d
+    return 0
 
 
 def _pick_dlo(g: Formula, u: str, assign: dict[str, Value]) -> Fraction:

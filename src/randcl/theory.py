@@ -1,10 +1,12 @@
 """Decision procedures for the two concrete theories.
 
-Dense linear orders without endpoints get textbook quantifier elimination
-plus an independent direct evaluator used as an oracle in tests; finite
-enumerated domains are decided by brute force.  On top of those sit
-validity, functional-formula checking, and the isolating-formula
-enumerations that drive the closure operators.
+Both theories, dense linear orders without endpoints and finite
+enumerated domains, are decided by one quantifier eliminator: a
+quantifier becomes the truth of its body at finitely many test points,
+and every evaluator is qe followed by eval_qf.  An independent direct
+evaluator, which searches the same points without eliminating anything,
+is the oracle in tests.  On top of those sit validity, functional-formula
+checking, and the isolating formulas that drive the closure operators.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .formula import (
+    DLO,
     FALSE,
     TRUE,
     And,
@@ -33,6 +36,7 @@ from .formula import (
     Term,
     Truth,
     Var,
+    check_signature,
     free_vars,
     is_quantifier_free,
     subformulas,
@@ -43,12 +47,14 @@ Value = Fraction | int
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (light simplification only)
+# smart constructors (constant folding only)
 # ---------------------------------------------------------------------------
 
 def _atom(lhs: Term, rel: str, rhs: Term) -> Formula:
     if lhs == rhs:
         return TRUE if rel == "=" else FALSE
+    if isinstance(lhs, Const) and isinstance(rhs, Const):
+        return FALSE  # distinct constants name distinct points ('=' only)
     return Atom(lhs, rel, rhs)
 
 
@@ -80,6 +86,31 @@ def _or2(a: Formula, b: Formula) -> Formula:
     return Or(a, b)
 
 
+def _implies2(a: Formula, b: Formula) -> Formula:
+    if isinstance(a, Falsity) or isinstance(b, Truth):
+        return TRUE
+    if isinstance(a, Truth):
+        return b
+    if isinstance(b, Falsity):
+        return _not(a)
+    return Implies(a, b)
+
+
+def _iff2(a: Formula, b: Formula) -> Formula:
+    if isinstance(a, Truth):
+        return b
+    if isinstance(b, Truth):
+        return a
+    if isinstance(a, Falsity):
+        return _not(b)
+    if isinstance(b, Falsity):
+        return _not(a)
+    return Iff(a, b)
+
+
+_FOLD = {And: _and2, Or: _or2, Implies: _implies2, Iff: _iff2}
+
+
 def conj_all(fs: Iterable[Formula]) -> Formula:
     out: Formula = TRUE
     for f in fs:
@@ -95,191 +126,92 @@ def disj_all(fs: Iterable[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# quantifier elimination for dense linear orders
+# quantifier elimination by test points
 # ---------------------------------------------------------------------------
-
-def _nnf(f: Formula, neg: bool) -> Formula:
-    """Negation normal form of a quantifier-free formula.
-
-    A negated order atom is expanded into positive atoms using totality
-    (not a < b  becomes  b < a or a = b), so the result is built from
-    positive atoms with & and | only.
-    """
-    if isinstance(f, Atom):
-        a = _atom(f.lhs, f.rel, f.rhs)
-        if isinstance(a, (Truth, Falsity)):
-            return _not(a) if neg else a
-        if not neg:
-            return a
-        if f.rel == "<":
-            return _or2(_atom(f.rhs, "<", f.lhs), _atom(f.lhs, "=", f.rhs))
-        return _or2(_atom(f.lhs, "<", f.rhs), _atom(f.rhs, "<", f.lhs))
-    if isinstance(f, Truth):
-        return FALSE if neg else TRUE
-    if isinstance(f, Falsity):
-        return TRUE if neg else FALSE
-    if isinstance(f, Not):
-        return _nnf(f.body, not neg)
-    if isinstance(f, And):
-        if neg:
-            return _or2(_nnf(f.lhs, True), _nnf(f.rhs, True))
-        return _and2(_nnf(f.lhs, False), _nnf(f.rhs, False))
-    if isinstance(f, Or):
-        if neg:
-            return _and2(_nnf(f.lhs, True), _nnf(f.rhs, True))
-        return _or2(_nnf(f.lhs, False), _nnf(f.rhs, False))
-    if isinstance(f, Implies):
-        if neg:
-            return _and2(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return _or2(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    if isinstance(f, Iff):
-        if neg:
-            return _or2(
-                _and2(_nnf(f.lhs, False), _nnf(f.rhs, True)),
-                _and2(_nnf(f.lhs, True), _nnf(f.rhs, False)),
-            )
-        return _or2(
-            _and2(_nnf(f.lhs, False), _nnf(f.rhs, False)),
-            _and2(_nnf(f.lhs, True), _nnf(f.rhs, True)),
-        )
-    raise ValueError(f"quantifier reached negation normal form: {f}")
-
-
-def _dnf(f: Formula) -> list[tuple[Atom, ...]]:
-    """Disjunctive normal form of an NNF formula, as atom tuples."""
-    if isinstance(f, Truth):
-        return [()]
-    if isinstance(f, Falsity):
-        return []
-    if isinstance(f, Atom):
-        return [(f,)]
-    if isinstance(f, Or):
-        seen: set[frozenset[Atom]] = set()
-        out = []
-        for c in _dnf(f.lhs) + _dnf(f.rhs):
-            key = frozenset(c)
-            if key not in seen:
-                seen.add(key)
-                out.append(c)
-        return out
-    if isinstance(f, And):
-        out = []
-        seen = set()
-        for c1 in _dnf(f.lhs):
-            for c2 in _dnf(f.rhs):
-                merged = list(c1)
-                have = set(c1)
-                for a in c2:
-                    if a not in have:
-                        have.add(a)
-                        merged.append(a)
-                key = frozenset(merged)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(tuple(merged))
-        return out
-    raise ValueError(f"unexpected node in disjunctive normal form: {f}")
-
 
 def _is_var(t: Term, name: str) -> bool:
     return isinstance(t, Var) and t.name == name
 
 
-def _elim_conjunct(u: str, atoms: Sequence[Atom]) -> tuple[Atom, ...] | None:
-    """Eliminate 'exists u' from a conjunction of atoms (None = false)."""
-    eq_term: Term | None = None
-    for a in atoms:
-        if a.rel != "=":
-            continue
-        if _is_var(a.lhs, u) and not _is_var(a.rhs, u):
-            eq_term = a.rhs
-            break
-        if _is_var(a.rhs, u) and not _is_var(a.lhs, u):
-            eq_term = a.lhs
-            break
-    if eq_term is not None:
-        out: list[Atom] = []
-        seen: set[Atom] = set()
-        for a in atoms:
-            lhs = eq_term if _is_var(a.lhs, u) else a.lhs
-            rhs = eq_term if _is_var(a.rhs, u) else a.rhs
-            na = _atom(lhs, a.rel, rhs)
-            if isinstance(na, Falsity):
-                return None
-            if isinstance(na, Truth):
-                continue
-            assert isinstance(na, Atom)
-            if na not in seen:
-                seen.add(na)
-                out.append(na)
-        return tuple(out)
-
-    lows: list[Term] = []
-    highs: list[Term] = []
-    rest: list[Atom] = []
-    for a in atoms:
-        lu, ru = _is_var(a.lhs, u), _is_var(a.rhs, u)
-        if a.rel == "<" and (lu or ru):
-            if lu and ru:
-                return None
-            if lu:
-                highs.append(a.rhs)
-            else:
-                lows.append(a.lhs)
-        else:
-            rest.append(a)
-    out = list(rest)
-    seen = set(rest)
-    for low in lows:
-        for high in highs:
-            na = _atom(low, "<", high)
-            if isinstance(na, Falsity):
-                return None
-            if isinstance(na, Truth):
-                continue
-            assert isinstance(na, Atom)
-            if na not in seen:
-                seen.add(na)
-                out.append(na)
-    return tuple(out)
+def _place(a: Atom, u: str, t: Term | None, above: bool) -> Formula:
+    """Truth of a folded atom with u at a test point: below every term
+    (t is None), at t, or just above t and below every larger term."""
+    lu, ru = _is_var(a.lhs, u), _is_var(a.rhs, u)
+    if not (lu or ru):
+        return a
+    if t is None:
+        return TRUE if lu and a.rel == "<" else FALSE
+    if not above:
+        return _atom(t if lu else a.lhs, a.rel, t if ru else a.rhs)
+    if a.rel == "=":
+        return FALSE
+    s = a.rhs if lu else a.lhs
+    # t+ < s iff t < s;  s < t+ iff s <= t iff not t < s
+    return _atom(t, "<", s) if lu else _not(_atom(t, "<", s))
 
 
-def _exists_qf(u: str, g: Formula) -> Formula:
-    conjs = _dnf(_nnf(g, False))
-    results = []
-    seen: set[frozenset[Atom]] = set()
-    for c in conjs:
-        r = _elim_conjunct(u, c)
-        if r is None:
-            continue
-        key = frozenset(r)
-        if key not in seen:
-            seen.add(key)
-            results.append(r)
-    return disj_all(conj_all(c) for c in results)
+def _at(g: Formula, u: str, t: Term | None, above: bool) -> Formula:
+    """The quantifier-free g with u at a test point (see _place), folded;
+    subtrees without u are returned as they are."""
+    if isinstance(g, Atom):
+        return _place(g, u, t, above)
+    if isinstance(g, Not):
+        body = _at(g.body, u, t, above)
+        return g if body is g.body else _not(body)
+    if isinstance(g, (Truth, Falsity)):
+        return g
+    lhs, rhs = _at(g.lhs, u, t, above), _at(g.rhs, u, t, above)
+    if lhs is g.lhs and rhs is g.rhs:
+        return g
+    return _FOLD[type(g)](lhs, rhs)
 
 
-def _require_dlo_formula(f: Formula) -> None:
-    for g in subformulas(f):
-        if isinstance(g, Atom) and (
-            isinstance(g.lhs, Const) or isinstance(g.rhs, Const)
-        ):
-            raise ValueError("quantifier elimination applies to DLO formulas only")
+def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
+    """exists u. body (or forall u. body) for a quantifier-free body.
+
+    The truth of body moves only where u crosses a term it is compared
+    with, so it is decided at test points.  Dense order without endpoints:
+    below every term, at each term, and just above each term.  Enumerated
+    domain: every constant.  The result is the disjunction (conjunction)
+    of body at the test points, with duplicate and unit parts dropped.
+    """
+    terms: dict[Term, None] = {}
+    for g in subformulas(body):
+        if isinstance(g, Atom):
+            if _is_var(g.lhs, u):
+                terms.setdefault(g.rhs)
+            elif _is_var(g.rhs, u):
+                terms.setdefault(g.lhs)
+    if not terms:
+        return body
+    if sig.is_dlo:
+        points = [(None, False)]
+        points += [(t, above) for t in terms for above in (False, True)]
+    else:
+        assert sig.n is not None
+        points = [(Const(c), False) for c in range(sig.n)]
+    absorbing, unit = (Truth, Falsity) if exists else (Falsity, Truth)
+    parts: dict[Formula, None] = {}
+    for t, above in points:
+        g = _at(body, u, t, above)
+        if isinstance(g, absorbing):
+            return g
+        if not isinstance(g, unit):
+            parts.setdefault(g)
+    return disj_all(parts) if exists else conj_all(parts)
 
 
-def _qe(f: Formula) -> Formula:
+def _qe(f: Formula, sig: Signature) -> Formula:
     if isinstance(f, Atom):
         return _atom(f.lhs, f.rel, f.rhs)
     if isinstance(f, (Truth, Falsity)):
         return f
     if isinstance(f, Not):
-        return _not(_qe(f.body))
+        return _not(_qe(f.body, sig))
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_qe(f.lhs), _qe(f.rhs))
-    if isinstance(f, Exists):
-        return _exists_qf(f.var, _qe(f.body))
-    if isinstance(f, Forall):
-        return _not(_exists_qf(f.var, Not(_qe(f.body))))
+        return _FOLD[type(f)](_qe(f.lhs, sig), _qe(f.rhs, sig))
+    if isinstance(f, (Exists, Forall)):
+        return _eliminate(sig, f.var, _qe(f.body, sig), isinstance(f, Exists))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -290,17 +222,17 @@ _QE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_QE_CACHE_SIZE)
-def qe(f: Formula) -> Formula:
-    """Quantifier-free DLO equivalent of f.
+def qe(f: Formula, sig: Signature = DLO) -> Formula:
+    """Quantifier-free equivalent of f in the theory of sig.
 
-    Works innermost-out: each existential body is rewritten to a disjunction
-    of atom conjunctions; per conjunct the bound variable is removed either
-    by substituting an equality partner or by replacing its lower/upper
-    bound pairs with direct comparisons (density and the absence of
-    endpoints make one-sided bounds vacuous).
+    Raises ValueError when f uses a symbol outside sig.  Works
+    innermost-out: each quantifier's body is first made quantifier-free,
+    then the quantifier is replaced by the body's truth at finitely many
+    test points (Ferrante & Rackoff; Loos & Weispfenning), with no normal
+    form in between.
     """
-    _require_dlo_formula(f)
-    out = _qe(f)
+    check_signature(f, sig)
+    out = _qe(f, sig)
     assert is_quantifier_free(out)
     return out
 
@@ -346,50 +278,10 @@ def _check_assignment(f: Formula, assign: Mapping[str, Value]) -> None:
             raise ValueError(f"unassigned free variable {v!r}")
 
 
-def eval_enum(n: int, f: Formula, assign: dict[str, Value]) -> bool:
-    """Truth of f over the domain 0..n-1; quantifiers range over it.
-
-    assign must cover the free variables of f; it is used as scratch
-    space for bound variables and restored before returning.
-    """
-    if isinstance(f, (Atom, Truth, Falsity)):
-        return eval_qf(f, assign)
-    if isinstance(f, Not):
-        return not eval_enum(n, f.body, assign)
-    if isinstance(f, And):
-        return eval_enum(n, f.lhs, assign) and eval_enum(n, f.rhs, assign)
-    if isinstance(f, Or):
-        return eval_enum(n, f.lhs, assign) or eval_enum(n, f.rhs, assign)
-    if isinstance(f, Implies):
-        return (not eval_enum(n, f.lhs, assign)) or eval_enum(n, f.rhs, assign)
-    if isinstance(f, Iff):
-        return eval_enum(n, f.lhs, assign) == eval_enum(n, f.rhs, assign)
-    if isinstance(f, (Exists, Forall)):
-        had_outer = f.var in assign
-        outer = assign.get(f.var)
-        want_any = isinstance(f, Exists)
-        result = not want_any
-        for d in range(n):
-            assign[f.var] = d
-            truth = eval_enum(n, f.body, assign)
-            if truth == want_any:
-                result = want_any
-                break
-        if had_outer:
-            assign[f.var] = outer  # type: ignore[assignment]
-        else:
-            del assign[f.var]
-        return result
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def evaluate(sig: Signature, f: Formula, assign: Mapping[str, Value]) -> bool:
-    """Truth of f under assign; quantifiers handled per theory."""
+    """Truth of f under assign in the theory of sig."""
     _check_assignment(f, assign)
-    if sig.is_dlo:
-        return eval_qf(qe(f), assign)
-    assert sig.n is not None
-    return eval_enum(sig.n, f, dict(assign))
+    return eval_qf(qe(f, sig), assign)
 
 
 def type_key(sig: Signature, values: Sequence[Value]) -> tuple:
@@ -417,32 +309,38 @@ def type_key(sig: Signature, values: Sequence[Value]) -> tuple:
     return tuple(key)
 
 
-def eval_direct(f: Formula, assign: Mapping[str, Value]) -> bool:
-    """DLO evaluation without quantifier elimination (test oracle).
+def eval_direct(
+    f: Formula, assign: Mapping[str, Value], sig: Signature = DLO
+) -> bool:
+    """Evaluation without quantifier elimination (test oracle).
 
-    A quantified variable is tested at one representative per order
-    position relative to the currently assigned values: below all of them,
-    equal to each, between each consecutive pair, above all.  With no
-    assigned values a single test point suffices.
+    A quantified variable is tried at enough points to meet every case.
+    Enumerated domain: each of 0..n-1.  Dense order: one representative
+    per order position relative to the currently assigned values (below
+    all of them, equal to each, between each consecutive pair, above all),
+    or a single point when no value is assigned.
     """
     if isinstance(f, (Atom, Truth, Falsity)):
         return eval_qf(f, assign)
     if isinstance(f, Not):
-        return not eval_direct(f.body, assign)
+        return not eval_direct(f.body, assign, sig)
     if isinstance(f, And):
-        return eval_direct(f.lhs, assign) and eval_direct(f.rhs, assign)
+        return eval_direct(f.lhs, assign, sig) and eval_direct(f.rhs, assign, sig)
     if isinstance(f, Or):
-        return eval_direct(f.lhs, assign) or eval_direct(f.rhs, assign)
+        return eval_direct(f.lhs, assign, sig) or eval_direct(f.rhs, assign, sig)
     if isinstance(f, Implies):
-        return (not eval_direct(f.lhs, assign)) or eval_direct(f.rhs, assign)
+        return (not eval_direct(f.lhs, assign, sig)) or eval_direct(f.rhs, assign, sig)
     if isinstance(f, Iff):
-        return eval_direct(f.lhs, assign) == eval_direct(f.rhs, assign)
+        return eval_direct(f.lhs, assign, sig) == eval_direct(f.rhs, assign, sig)
     if isinstance(f, (Exists, Forall)):
-        vals = sorted(set(assign.values()))
         candidates: list[Value]
-        if not vals:
+        if not sig.is_dlo:
+            assert sig.n is not None
+            candidates = list(range(sig.n))
+        elif not assign:
             candidates = [Fraction(0)]
         else:
+            vals = sorted(set(assign.values()))
             candidates = [vals[0] - 1]
             for a, b in zip(vals, vals[1:]):
                 candidates.append(a)
@@ -453,7 +351,7 @@ def eval_direct(f: Formula, assign: Mapping[str, Value]) -> bool:
         results = []
         for c in candidates:
             inner[f.var] = c
-            results.append(eval_direct(f.body, inner))
+            results.append(eval_direct(f.body, inner, sig))
         return any(results) if isinstance(f, Exists) else all(results)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -471,10 +369,7 @@ def universal_closure(f: Formula) -> Formula:
 
 def is_valid(sig: Signature, f: Formula) -> bool:
     """Truth of the universal closure of f in the theory."""
-    closed = universal_closure(f)
-    if sig.is_dlo:
-        return eval_qf(qe(closed), {})
-    return evaluate(sig, closed, {})
+    return eval_qf(qe(universal_closure(f), sig), {})
 
 
 def is_functional(sig: Signature, f: Formula, u: str) -> bool:

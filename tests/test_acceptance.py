@@ -46,8 +46,13 @@ from randcl import (
     transport_event,
     witness,
 )
-from randcl.checks import corpus, perturb_element, random_formula, sample_params
-from randcl.closure import _algebra_by_type
+from randcl.checks import (
+    corpus,
+    isolating_event_algebra,
+    perturb_element,
+    random_formula,
+    sample_params,
+)
 
 CORPUS_SEED = 20260817
 
@@ -113,8 +118,7 @@ def test_formula_routes_match_closure_routes(full_corpus, param_sets, capsys):
         if _vals(fo_definable_closure(r, A)) != _vals(definable_closure(r, A)):
             ok = False
             break
-        elems = [r.element(n) for n in A]
-        if fo_event_algebra(r, A) != _algebra_by_type(r, elems):
+        if fo_event_algebra(r, A) != isolating_event_algebra(r, A):
             ok = False
             break
     _report(capsys, 3, "single-formula routes equal closure enumerations", ok)

@@ -11,7 +11,6 @@ from randcl import (
     RandomElement,
     definability_report,
     definable_closure,
-    definable_event_algebra,
     fo_definable_closure,
     fo_definable_on,
     fo_event_algebra,
@@ -27,8 +26,8 @@ from randcl import (
     pointwise_max,
     pointwise_min,
 )
-from randcl.closure import _algebra_by_type, _if_less_closure_naive
-from randcl.checks import random_instance, sample_params
+from randcl.closure import _if_less_closure_naive
+from randcl.checks import isolating_event_algebra, random_instance, sample_params
 
 
 def values(elems) -> set:
@@ -56,9 +55,9 @@ def test_event_algebra_two_parameters(swap_pair):
     assert alg.atoms == (part.event(["w1"]), part.event(["w2"]))
 
 
-def test_definable_event_algebra_matches(swap_pair):
+def test_event_algebra_matches_isolating_oracle(swap_pair):
     for A in ([], ["a"], ["a", "b"], ["a", "b", "hi"]):
-        assert definable_event_algebra(swap_pair, A) == fo_event_algebra(swap_pair, A)
+        assert fo_event_algebra(swap_pair, A) == isolating_event_algebra(swap_pair, A)
 
 
 def test_event_algebra_unknown_name(swap_pair):
@@ -74,12 +73,11 @@ def test_duplicate_parameter_names_rejected(swap_pair):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_algebra_routes_agree(seed):
-    """Generated-subalgebra construction equals direct type grouping."""
+    """Direct type grouping equals the generated-subalgebra oracle."""
     rng = random.Random(seed)
     r = random_instance(rng)
     A = sample_params(rng, r)
-    elems = [r.element(n) for n in A]
-    assert fo_event_algebra(r, A) == _algebra_by_type(r, elems)
+    assert fo_event_algebra(r, A) == isolating_event_algebra(r, A)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def test_deciders_agree_on_random_instances(seed):
     derived = glue(
         b,
         r.element(names[rng.randrange(len(names))]),
-        definable_event_algebra(r, A).atoms[0],
+        fo_event_algebra(r, A).atoms[0],
     )
     for elem in (b, derived):
         report = definability_report(r, elem, A)

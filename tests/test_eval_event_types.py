@@ -1,8 +1,7 @@
 """eval_event decides a formula once per type of the bound value tuple.
 
 Every test here compares it atom by atom with evaluation on each atom on
-its own: the direct region-search oracle for DLO, theory.evaluate for an
-enumerated domain.
+its own by the direct-search oracle, which eliminates no quantifier.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from randcl import (
     Randomization,
     eval_direct,
     eval_event,
-    evaluate,
     finite_enum,
     free_vars,
     parse,
@@ -40,8 +38,7 @@ def _per_atom(r: Randomization, f, binding: dict[str, str]) -> frozenset[int]:
     members = set()
     for i in range(r.partition.size):
         assign = {var: r.element(name).values[i] for var, name in binding.items()}
-        holds = eval_direct(f, assign) if r.sig.is_dlo else evaluate(r.sig, f, assign)
-        if holds:
+        if eval_direct(f, assign, r.sig):
             members.add(i)
     return frozenset(members)
 

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from randcl import (
     And,
+    Atom,
     DLO,
     Exists,
     Not,
     Or,
     RandomElement,
     Randomization,
+    Var,
     complement,
     differs,
     elem_dist,
@@ -79,6 +81,15 @@ def test_eval_event_atoms(swap_pair):
 def test_eval_event_needs_binding(swap_pair):
     with pytest.raises(ValueError, match="unassigned free variable"):
         eval_event(swap_pair, parse("a < b"), {"a": "a"})
+
+
+def test_bad_signature_raises_before_unbound_variable(coin):
+    # '<' is outside FiniteEnum, and neither variable is bound
+    f = Atom(Var("x"), "<", Var("y"))
+    with pytest.raises(ValueError, match="not in FiniteEnum"):
+        eval_event(coin, f, {})
+    with pytest.raises(ValueError, match="not in FiniteEnum"):
+        witness(coin, f, "x")
 
 
 def test_eval_event_enum(coin):

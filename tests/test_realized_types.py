@@ -1,8 +1,8 @@
 """The isolating-formula routes enumerate only the types realized on atoms.
 
-fo_event_algebra, is_definable_by_pinning and
-is_definable_by_isolating_events evaluate one isolating formula per type
-the tuple takes on some atom.  The references below keep the full
+checks.isolating_event_algebra (the oracle for fo_event_algebra),
+is_definable_by_pinning and is_definable_by_isolating_events evaluate one
+isolating formula per type the tuple takes on some atom.  The references below keep the full
 enumeration over isolating_formulas, so the two are compared here.
 """
 
@@ -31,7 +31,7 @@ from randcl import (
     pointwise_min,
 )
 from randcl import closure
-from randcl.checks import corpus, random_instance
+from randcl.checks import corpus, isolating_event_algebra, random_instance
 from randcl.cli import main
 from randcl.closure import (
     definability_report,
@@ -135,6 +135,7 @@ def test_routes_match_full_enumeration(idx, r):
         params = rng.sample(names, rng.randint(0, min(4, len(names))))
         elems = _distinct([r.element(p) for p in params])
         assert fo_event_algebra(r, params) == _ref_algebra(r, elems)
+        assert isolating_event_algebra(r, params) == _ref_algebra(r, elems)
         for b in _probes(rng, r):
             if r.sig.is_dlo:
                 assert is_definable_by_pinning(r, b, params) == _ref_pinning(r, b, elems)
@@ -222,7 +223,7 @@ def test_wrong_isolating_formula_raises(monkeypatch, ordered_pair):
     r = load(str(ordered_pair))
     monkeypatch.setattr(closure, "isolating_formula", _reversed_chain)
     for route in (
-        lambda: fo_event_algebra(r, ["a", "b"]),
+        lambda: isolating_event_algebra(r, ["a", "b"]),
         lambda: is_definable_by_pinning(r, "c", ["a", "b"]),
         lambda: is_definable_by_isolating_events(r, "a", ["a", "b"]),
     ):

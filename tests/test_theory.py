@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from randcl import (
     DLO,
     And,
+    Exists,
     Falsity,
     Forall,
     Implies,
@@ -70,6 +71,14 @@ def test_qe_rejects_enum_formulas():
         qe(parse("x = c0", E2))
 
 
+def test_qe_needs_no_normal_form():
+    # a disjunctive normal form of this body has 2^40 conjuncts
+    body = And(parse("a0 < u | u < b0"), parse("a1 < u | u < b1"))
+    for i in range(2, 40):
+        body = And(body, parse(f"a{i} < u | u < b{i}"))
+    assert qe(Exists("u", body)) == Truth()
+
+
 def test_qe_cache_is_bounded():
     maxsize = qe.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 10**6
@@ -87,6 +96,23 @@ def test_qe_agrees_with_direct_search(seed, quantifiers):
     for _ in range(8):
         assign = {v: rng.choice(_DLO_VALUES) for v in ("a", "b", "c")}
         assert eval_qf(g, assign) == eval_direct(f, assign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    quantifiers=st.integers(0, 3),
+)
+def test_enum_qe_agrees_with_direct_search(seed, n, quantifiers):
+    rng = random.Random(seed)
+    sig = finite_enum(n)
+    f = random_formula(rng, sig, ("a", "b", "c"), quantifiers=quantifiers)
+    g = qe(f, sig)
+    assert is_quantifier_free(g)
+    for _ in range(8):
+        assign = {v: rng.randrange(n) for v in ("a", "b", "c")}
+        assert eval_qf(g, assign) == eval_direct(f, assign, sig)
 
 
 # ---------------------------------------------------------------------------
