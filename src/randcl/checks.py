@@ -12,7 +12,6 @@ check stays brute-forceable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -37,6 +36,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    Record,
     Signature,
     Var,
     DLO,
@@ -172,11 +172,20 @@ def sample_params(rng: random.Random, r: Randomization) -> list[str]:
 # the per-instance check suite
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    """One check's outcome; compared by its fields, unhashable."""
+
+    __slots__ = ("name", "passed", "detail")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def _fields(self) -> tuple:
+        return (self.name, self.passed, self.detail)
 
 
 def _value_set(elems) -> set:

@@ -69,21 +69,27 @@ def _value_payload(r: Randomization, e: RandomElement) -> list:
     return list(e.values)
 
 
-def _named(r: Randomization, e: RandomElement) -> str | None:
+def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
+    """Closure output, each element after the first name it has in the
+    file: text lines, or under structured output the JSON payload."""
+    # known elements bucketed by first and last value, so a lookup hashes
+    # two values, not a whole row, and compares only a few rows
+    buckets: dict[tuple, list[tuple[tuple, str]]] = {}
     for name, known in r.elements.items():
-        if known.values == e.values:
-            return name
-    return None
-
-
-def _element_lines(r: Randomization, elems) -> tuple[list[str], dict]:
-    lines = [f"{len(elems)} elements:"]
-    payload = []
+        key = (known.values[0], known.values[-1])
+        buckets.setdefault(key, []).append((known.values, name))
+    names = []
     for e in elems:
-        name = _named(r, e)
-        lines.append(f"  {name} = {e}" if name else f"  {e}")
-        payload.append({"name": name, "values": _value_payload(r, e)})
-    return lines, {"count": len(elems), "elements": payload}
+        bucket = buckets.get((e.values[0], e.values[-1]), ())
+        names.append(next((n for v, n in bucket if v == e.values), None))
+    if args.format == "structured":
+        payload = [
+            {"name": n, "values": _value_payload(r, e)} for n, e in zip(names, elems)
+        ]
+        return [], {"count": len(elems), "elements": payload}
+    lines = [f"{len(elems)} elements:"]
+    lines += [f"  {n} = {e}" if n else f"  {e}" for n, e in zip(names, elems)]
+    return lines, {}
 
 
 def _parse_event(r: Randomization, text: str) -> Event:
@@ -129,7 +135,7 @@ def _cmd_dclb(args) -> int:
 def _cmd_dcl(args) -> int:
     r = load(args.file)
     elems = definable_closure(r, args.params)
-    lines, payload = _element_lines(r, elems)
+    lines, payload = _element_lines(r, args, elems)
     _emit(args, lines, payload)
     return 0
 
@@ -137,7 +143,7 @@ def _cmd_dcl(args) -> int:
 def _cmd_lcl(args) -> int:
     r = load(args.file)
     elems = if_less_closure(r, args.params)
-    lines, payload = _element_lines(r, elems)
+    lines, payload = _element_lines(r, args, elems)
     _emit(args, lines, payload)
     return 0
 

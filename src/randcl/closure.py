@@ -13,11 +13,10 @@ four-argument if_less combinator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .formula import Exists, Formula
+from .formula import Exists, Formula, Record
 from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
@@ -451,10 +450,19 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
 # combined report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DefinabilityReport:
-    verdict: bool
-    paths: dict[str, bool]
+    """The verdict and each decider's answer; compared by both, unhashable."""
+
+    __slots__ = ("verdict", "paths")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, verdict: bool, paths: dict[str, bool]):
+        self.verdict = verdict
+        self.paths = paths
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.paths)
 
     @property
     def agree(self) -> bool:

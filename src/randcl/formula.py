@@ -24,7 +24,6 @@ constants ``c0 .. c{n-1}``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
@@ -37,25 +36,82 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+# the one way to set a field: Record.__setattr__ refuses assignment
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the engine's immutable value classes.
+
+    A subclass names its fields as the public entries of its own and its
+    bases' ``__slots__``, in order; it sets each once in ``__init__`` with
+    ``object.__setattr__`` and returns their values, in the same order,
+    from ``_fields()``.  Two records are ``==`` when they are of the same
+    class with equal fields, ``hash`` agrees with ``==``, and ``repr``
+    reads ``Name(field=value, ...)``.  Slots with a leading underscore hold
+    derived state and take part in none of these.  Assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self._fields()))
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        names = [
+            name
+            for cls in reversed(self.__class__.__mro__)
+            for name in vars(cls).get("__slots__", ())
+            if not name.startswith("_")
+        ]
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Either the dense-linear-order signature or FiniteEnum(n), n >= 2."""
 
-    kind: str
-    n: int | None = None
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self):
-        if self.kind == "DLO":
-            if self.n is not None:
+    def __init__(self, kind: str, n: int | None = None):
+        if kind == "DLO":
+            if n is not None:
                 raise ValueError("DLO signature takes no size")
-        elif self.kind == "FiniteEnum":
-            if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
+        elif kind == "FiniteEnum":
+            if not isinstance(n, int) or isinstance(n, bool) or n < 2:
                 raise ValueError("FiniteEnum needs an integer size n >= 2")
         else:
-            raise ValueError(f"unknown signature kind {self.kind!r}")
+            raise ValueError(f"unknown signature kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.n)
 
     @property
     def is_dlo(self) -> bool:
@@ -76,17 +132,33 @@ def finite_enum(n: int) -> Signature:
 # terms and formula nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def _fields(self) -> tuple:
+        return (self.name,)
+
+    def __hash__(self) -> int:  # atoms hash their terms when built: keep it cheap
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    index: int
+class Const(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def _fields(self) -> tuple:
+        return (self.index,)
+
+    def __hash__(self) -> int:  # as Var.__hash__
+        return hash(self.index)
 
     def __str__(self) -> str:
         return f"c{self.index}"
@@ -95,82 +167,111 @@ class Const:
 Term = Var | Const
 
 
-class Formula:
-    """Base class for all formula nodes (frozen dataclasses below)."""
+class Formula(Record):
+    """Base class for all formula nodes.
 
-    __slots__ = ()
+    Each node keeps its hash in ``_hash``, computed when it is built from
+    its class and its children's kept hashes, so hashing a tree (the qe
+    cache does on every lookup) costs O(1).
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self):
+        _set(self, "_hash", hash(self.__class__))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    lhs: Term
-    rel: str  # "<" or "="
-    rhs: Term
+    __slots__ = ("lhs", "rel", "rhs")  # rel is "<" or "="
 
-    def __post_init__(self):
-        if self.rel not in ("<", "="):
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __init__(self, lhs: Term, rel: str, rhs: Term):
+        if rel not in ("<", "="):
+            raise ValueError(f"unknown relation {rel!r}")
+        _set(self, "lhs", lhs)
+        _set(self, "rel", rel)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((Atom, lhs, rel, rhs)))
+
+    def _fields(self) -> tuple:
+        return (self.lhs, self.rel, self.rhs)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+        _set(self, "_hash", hash((Not, body)))
+
+    def _fields(self) -> tuple:
+        return (self.body,)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+class _Binary(Formula):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((self.__class__, lhs, rhs)))
+
+    def _fields(self) -> tuple:
+        return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class _Quantifier(Formula):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((self.__class__, var, body)))
+
+    def _fields(self) -> tuple:
+        return (self.var, self.body)
 
 
-@dataclass(frozen=True)
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
 class Truth(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Falsity(Formula):
-    pass
+    __slots__ = ()
 
 
 TRUE = Truth()
 FALSE = Falsity()
 
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (Exists, Forall)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +291,10 @@ def free_vars(f: Formula) -> tuple[str, ...]:
                     out.append(t.name)
         elif isinstance(g, Not):
             walk(g.body, bound)
-        elif isinstance(g, _BINARY):
+        elif isinstance(g, _Binary):
             walk(g.lhs, bound)
             walk(g.rhs, bound)
-        elif isinstance(g, _QUANT):
+        elif isinstance(g, _Quantifier):
             walk(g.body, bound | {g.var})
 
     walk(f, frozenset())
@@ -205,15 +306,15 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     if isinstance(f, Not):
         yield from subformulas(f.body)
-    elif isinstance(f, _BINARY):
+    elif isinstance(f, _Binary):
         yield from subformulas(f.lhs)
         yield from subformulas(f.rhs)
-    elif isinstance(f, _QUANT):
+    elif isinstance(f, _Quantifier):
         yield from subformulas(f.body)
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, _QUANT) for g in subformulas(f))
+    return not any(isinstance(g, _Quantifier) for g in subformulas(f))
 
 
 def check_signature(f: Formula, sig: Signature) -> None:
@@ -261,9 +362,9 @@ def _subst(g: Formula, m: dict[str, Term]) -> Formula:
         return Atom(lhs, g.rel, rhs)
     if isinstance(g, Not):
         return Not(_subst(g.body, m))
-    if isinstance(g, _BINARY):
+    if isinstance(g, _Binary):
         return type(g)(_subst(g.lhs, m), _subst(g.rhs, m))
-    if isinstance(g, _QUANT):
+    if isinstance(g, _Quantifier):
         body_free = set(free_vars(g.body))
         m2 = {k: v for k, v in m.items() if k != g.var and k in body_free}
         if not m2:
@@ -308,7 +409,7 @@ def _fmt(f: Formula, need: int, rightmost: bool) -> str:
         return "false"
     if isinstance(f, Atom):
         return f"{f.lhs} {f.rel} {f.rhs}"
-    if isinstance(f, _QUANT):
+    if isinstance(f, _Quantifier):
         kw = "exists" if isinstance(f, Exists) else "forall"
         body = _fmt(f.body, 0, True)
         text = f"{kw} {f.var}. {body}"

@@ -8,9 +8,12 @@ distance, generated subalgebras, refinement) stays in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .formula import Record
+
+_set = object.__setattr__
 
 
 def as_fraction(v: object) -> Fraction:
@@ -30,22 +33,20 @@ def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(w.numerator * (denom // w.denominator) for w in ws), denom)
 
 
-@dataclass(frozen=True)
-class Partition:
-    atoms: tuple[tuple[str, Fraction], ...]
-    # atom name -> index, derived from atoms
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+class Partition(Record):
+    # _index: atom name -> index, derived from atoms
+    __slots__ = ("atoms", "_index")
 
-    def __post_init__(self):
+    def __init__(self, atoms: Iterable[tuple[str, Fraction | int | str]]):
         atoms = tuple(
             (str(n), w if type(w) is Fraction else as_fraction(w))
-            for n, w in self.atoms
+            for n, w in atoms
         )
-        object.__setattr__(self, "atoms", atoms)
         index = {n: i for i, (n, _) in enumerate(atoms)}
         if len(index) != len(atoms):
             raise ValueError("duplicate atom names")
-        object.__setattr__(self, "_index", index)
+        _set(self, "atoms", atoms)
+        _set(self, "_index", index)
         if not atoms:
             raise ValueError("a partition needs at least one atom")
         for n, w in atoms:
@@ -54,6 +55,9 @@ class Partition:
         total = _exact_sum(w for _, w in atoms)
         if total != 1:
             raise ValueError(f"weights sum to {total}")
+
+    def _fields(self) -> tuple:
+        return (self.atoms,)
 
     @property
     def size(self) -> int:
@@ -87,17 +91,20 @@ def partition(pairs: Iterable[tuple[str, Fraction | int | str]]) -> Partition:
     return Partition(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class Event:
-    partition: Partition
-    members: frozenset[int]
+class Event(Record):
+    __slots__ = ("partition", "members")
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, partition: Partition, members: Iterable[int]):
+        members = frozenset(members)
+        size = partition.size
         for i in members:
-            if not isinstance(i, int) or not 0 <= i < self.partition.size:
+            if not isinstance(i, int) or not 0 <= i < size:
                 raise ValueError(f"atom index {i!r} out of range")
+        _set(self, "partition", partition)
+        _set(self, "members", members)
+
+    def _fields(self) -> tuple:
+        return (self.partition, self.members)
 
     @property
     def prob(self) -> Fraction:
@@ -152,18 +159,18 @@ def event_dist(a: Event, b: Event) -> Fraction:
     return Event(a.partition, a.members ^ b.members).prob
 
 
-@dataclass(frozen=True)
-class EventAlgebra:
+class EventAlgebra(Record):
     """A finite subalgebra, stored as its ordered list of atoms."""
 
-    atoms: tuple[Event, ...]
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: Iterable[Event]):
+        atoms = tuple(atoms)
+        if not atoms:
             raise ValueError("an algebra needs at least one atom")
-        part = self.atoms[0].partition
+        part = atoms[0].partition
         covered: set[int] = set()
-        for e in self.atoms:
+        for e in atoms:
             if e.partition != part:
                 raise ValueError("partition mismatch")
             if not e.members:
@@ -173,8 +180,10 @@ class EventAlgebra:
             covered |= e.members
         if covered != set(range(part.size)):
             raise ValueError("algebra atoms must cover everything")
-        ordered = tuple(sorted(self.atoms, key=lambda e: min(e.members)))
-        object.__setattr__(self, "atoms", ordered)
+        _set(self, "atoms", tuple(sorted(atoms, key=lambda e: min(e.members))))
+
+    def _fields(self) -> tuple:
+        return (self.atoms,)
 
     @property
     def partition(self) -> Partition:

@@ -9,66 +9,81 @@ and the deterministic witness builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .formula import (
     Exists,
     Formula,
+    Record,
     Signature,
     free_vars,
 )
 from .measure import Event, Partition, as_fraction
 from .theory import Value, eval_qf, qe, type_key
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RandomElement:
-    sig: Signature
-    partition: Partition
-    values: tuple[Value, ...]
 
-    def __post_init__(self):
-        if len(self.values) != self.partition.size:
+class RandomElement(Record):
+    __slots__ = ("sig", "partition", "values")
+
+    def __init__(self, sig: Signature, partition: Partition, values: Sequence[Value]):
+        if len(values) != partition.size:
             raise ValueError(
-                f"element has {len(self.values)} values for "
-                f"{self.partition.size} atoms"
+                f"element has {len(values)} values for {partition.size} atoms"
             )
-        if self.sig.is_dlo:
-            vals = tuple(
-                v if type(v) is Fraction else as_fraction(v) for v in self.values
-            )
+        if sig.is_dlo:
+            vals = tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
         else:
-            assert self.sig.n is not None
-            for v in self.values:
+            n = sig.n
+            assert n is not None
+            for v in values:
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"value {v!r} out of domain 0..{self.sig.n - 1}")
-                if not 0 <= v < self.sig.n:
-                    raise ValueError(f"value {v} out of domain 0..{self.sig.n - 1}")
-            vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
+                    raise ValueError(f"value {v!r} out of domain 0..{n - 1}")
+                if not 0 <= v < n:
+                    raise ValueError(f"value {v} out of domain 0..{n - 1}")
+            vals = tuple(values)
+        _set(self, "sig", sig)
+        _set(self, "partition", partition)
+        _set(self, "values", vals)
+
+    def _fields(self) -> tuple:
+        return (self.sig, self.partition, self.values)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-@dataclass
 class Randomization:
-    """A theory, a weighted partition, and named random elements."""
+    """A theory, a weighted partition, and named random elements.
 
-    sig: Signature
-    partition: Partition
-    elements: dict[str, RandomElement] = field(default_factory=dict)
-    _last_type_rows: tuple[tuple[RandomElement, ...], list[tuple]] = field(
-        default=((), []), init=False, repr=False, compare=False
-    )
+    A mutable record: compared by sig, partition and elements, and
+    unhashable.  _last_type_rows is _type_rows's cache, left out of ==
+    and repr.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("sig", "partition", "elements", "_last_type_rows")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        sig: Signature,
+        partition: Partition,
+        elements: dict[str, RandomElement] | None = None,
+    ):
+        self.sig = sig
+        self.partition = partition
+        self.elements = {} if elements is None else elements
+        self._last_type_rows: tuple[tuple[RandomElement, ...], list[tuple]] = ((), [])
         for name, e in self.elements.items():
-            if e.sig != self.sig or e.partition != self.partition:
+            if e.sig != sig or e.partition != partition:
                 raise ValueError(f"element {name!r} built for a different space")
+
+    def _fields(self) -> tuple:
+        return (self.sig, self.partition, self.elements)
 
     @classmethod
     def build(
@@ -255,54 +270,80 @@ def witness(
     when only the right tail does, and 0 when nothing satisfies or no
     values are bound.  For FiniteEnum the smallest satisfying domain value
     is chosen, default 0.
+
+    Which regions satisfy depends only on the type of the bound values
+    (theory.type_key), so it is decided once per type that occurs; each
+    atom then only does the arithmetic of its own values.
     """
     g = qe(theta, r.sig)
     bound = _resolve_binding(r, binding or {})
     for v in free_vars(theta):
         if v != u and v not in bound:
             raise ValueError(f"unassigned free variable {v!r}")
+    params = {var: e for var, e in bound.items() if var != u}
     if r.sig.is_dlo:
-        pick = _pick_dlo
+        rule = _dlo_rule
     else:
         assert r.sig.n is not None
-        pick = partial(_pick_enum, r.sig.n)
-    values = [
-        pick(g, u, {var: e.values[i] for var, e in bound.items() if var != u})
-        for i in range(r.partition.size)
-    ]
+        rule = partial(_enum_rule, r.sig.n)
+    names = tuple(params)
+    columns = [e.values for e in params.values()]
+    rules: dict[tuple, Callable[[list[Value]], Value]] = {}
+    values = []
+    for i, key in enumerate(_type_rows(r, tuple(params.values()))):
+        choose = rules.get(key)
+        if choose is None:
+            choose = rules[key] = rule(g, u, dict(zip(names, key)))
+        values.append(choose([col[i] for col in columns]))
     return RandomElement(r.sig, r.partition, tuple(values))
 
 
-def _pick_enum(n: int, g: Formula, u: str, assign: dict[str, Value]) -> int:
-    for d in range(n):
-        if eval_qf(g, {**assign, u: d}):
-            return d
-    return 0
+def _enum_rule(
+    n: int, g: Formula, u: str, assign: dict[str, Value]
+) -> Callable[[list[Value]], Value]:
+    """The smallest domain value satisfying g for this tuple, default 0."""
+    pick = next((d for d in range(n) if eval_qf(g, {**assign, u: d})), 0)
+    return lambda _: pick
 
 
-def _pick_dlo(g: Formula, u: str, assign: dict[str, Value]) -> Fraction:
-    vals = sorted({Fraction(v) for v in assign.values()})
-    if not vals:
-        return Fraction(0)  # sole order region; also the unsatisfiable default
+def _dlo_rule(
+    g: Formula, u: str, ranks: dict[str, int]
+) -> Callable[[list[Fraction]], Fraction]:
+    """The witness rule (see witness) for one order type of the bound
+    values, given as their dense ranks: it maps an atom's bound values of
+    that type to the witness value there.
 
-    def sat(candidate: Fraction) -> bool:
-        assign[u] = candidate
-        result = eval_qf(g, assign)
-        del assign[u]
-        return result
+    The regions are decided on the ranks doubled, so that 2j + 1 lies in
+    the gap above rank j, -1 below all and 2 * top + 1 above all.
+    """
+    if not ranks:
+        return lambda _: Fraction(0)  # sole order region; also the default
+    top = max(ranks.values())
+    assign = {v: 2 * k for v, k in ranks.items()}
 
-    best_gap: tuple[Fraction, Fraction] | None = None
-    for lo, hi in zip(vals, vals[1:]):
-        if sat(Fraction(lo + hi, 2)):
-            if best_gap is None or hi - lo < best_gap[1] - best_gap[0]:
-                best_gap = (lo, hi)
-    if best_gap is not None:
-        return Fraction(best_gap[0] + best_gap[1], 2)
-    for v in vals:
-        if sat(v):
-            return v
-    if sat(vals[0] - 1):
-        return vals[0] - 1
-    if sat(vals[-1] + 1):
-        return vals[-1] + 1
-    return Fraction(0)
+    def sat(point: int) -> bool:
+        assign[u] = point
+        return eval_qf(g, assign)
+
+    # position in the bound tuple of a value of each rank, lowest rank first
+    first: dict[int, int] = {}
+    for pos, k in enumerate(ranks.values()):
+        first.setdefault(k, pos)
+    at = [first[k] for k in range(top + 1)]
+    gaps = [j for j in range(top) if sat(2 * j + 1)]
+    if gaps:
+
+        def tightest_midpoint(vals: list[Fraction]) -> Fraction:
+            # min keeps the lowest of equally tight gaps
+            j = min(gaps, key=lambda j: vals[at[j + 1]] - vals[at[j]])
+            return Fraction(vals[at[j]] + vals[at[j + 1]], 2)
+
+        return tightest_midpoint
+    for j in range(top + 1):
+        if sat(2 * j):
+            return lambda vals: vals[at[j]]
+    if sat(-1):
+        return lambda vals: vals[at[0]] - 1
+    if sat(2 * top + 1):
+        return lambda vals: vals[at[top]] + 1
+    return lambda _: Fraction(0)

@@ -68,6 +68,31 @@ def test_dcl_names_known_elements(capsys):
     assert "  hi = (1, 1)" in out.splitlines()
 
 
+def test_dcl_names_the_first_equal_element(capsys, tmp_path):
+    # "a2" repeats a's values; "ax" shares only the first and last value
+    # of the closure element (0, 1, -1)
+    inst = {
+        "theory": "dlo",
+        "atoms": [["w1", "1/4"], ["w2", "1/4"], ["w3", "1/2"]],
+        "elements": {
+            "a": ["0", "1", "2"], "a2": ["0", "1", "2"], "ax": ["0", "7", "-1"],
+            "b": ["5", "6", "-1"],
+        },
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(inst))
+    _, out = run(capsys, "dcl", str(path), "a2", "b")
+    assert out.splitlines() == [
+        "4 elements:",
+        "  (0, 1, -1)",
+        "  a = (0, 1, 2)",
+        "  b = (5, 6, -1)",
+        "  (5, 6, 2)",
+    ]
+    _, out = run(capsys, "--format", "structured", "dcl", str(path), "a2", "b")
+    assert [e["name"] for e in json.loads(out)["elements"]] == [None, "a", "b", None]
+
+
 def test_lcl_matches_dcl(capsys):
     _, out_lcl = run(capsys, "lcl", SWAP, "a", "b")
     _, out_dcl = run(capsys, "dcl", SWAP, "a", "b")

@@ -21,6 +21,7 @@ from randcl import (
     differs,
     elem_dist,
     eval_event,
+    eval_qf,
     finite_enum,
     free_vars,
     glue,
@@ -33,6 +34,7 @@ from randcl import (
     partition,
     pointwise_max,
     pointwise_min,
+    qe,
     refine,
     transport_elem,
     witness,
@@ -261,6 +263,70 @@ def test_witness_event_equals_projection(seed):
     assert eval_event(r, theta, {**binding, "t": w}) == eval_event(
         r, Exists("t", theta), binding
     )
+
+
+def _witness_by_atom(r, theta, u, binding) -> tuple:
+    """Reference for witness: the region search run afresh on every atom,
+    on the atom's own values, in the preference order of the docstring."""
+    g = qe(theta, r.sig)
+    params = {v: r.element(n) for v, n in binding.items() if v != u}
+    out = []
+    for i in range(r.partition.size):
+        assign = {v: e.values[i] for v, e in params.items()}
+
+        def sat(point):
+            return eval_qf(g, {**assign, u: point})
+
+        if not r.sig.is_dlo:
+            out.append(next((d for d in range(r.sig.n) if sat(d)), 0))
+            continue
+        vals = sorted(set(assign.values()))
+        if not vals:
+            out.append(Fraction(0))
+            continue
+        gaps = [(lo, hi) for lo, hi in zip(vals, vals[1:]) if sat((lo + hi) / 2)]
+        if gaps:
+            lo, hi = min(gaps, key=lambda gap: gap[1] - gap[0])
+            out.append((lo + hi) / 2)
+        else:
+            candidates = [v for v in vals if sat(v)]
+            candidates += [vals[0] - 1] if sat(vals[0] - 1) else []
+            candidates += [vals[-1] + 1] if sat(vals[-1] + 1) else []
+            out.append(candidates[0] if candidates else Fraction(0))
+    return tuple(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_witness_matches_per_atom_search(seed):
+    # the regions are decided once per type of the bound values; the values
+    # must be those of a search on every atom, unused bound variables included
+    rng = random.Random(seed)
+    r = random_instance(rng)
+    names = tuple(r.elements)
+    theta = random_formula(rng, r.sig, ("t",) + names[:3], quantifiers=rng.randint(0, 2))
+    binding = {n: n for n in free_vars(theta) if n != "t"}
+    binding[names[-1]] = names[-1]
+    assert witness(r, theta, "t", binding).values == _witness_by_atom(
+        r, theta, "t", binding
+    )
+
+
+def test_witness_picks_smallest_forced_value(swap_pair):
+    # no gap satisfies, so the smallest satisfying value wins on each atom
+    w = witness(swap_pair, parse("u = a | u = b"), "u", {"a": "a", "b": "b"})
+    assert w.values == (Fraction(0), Fraction(0))
+
+
+def test_witness_picks_tightest_gap_per_atom():
+    # one order type on both atoms, but the tighter gap differs
+    part = partition([("w1", "1/2"), ("w2", "1/2")])
+    r = Randomization.build(
+        DLO, part, {"a": (0, 0), "b": (1, 5), "c": (3, 6)}
+    )
+    theta = parse("(a < u & u < b) | (b < u & u < c)")
+    w = witness(r, theta, "u", {"a": "a", "b": "b", "c": "c"})
+    assert w.values == (HALF, Fraction(11, 2))
 
 
 # ---------------------------------------------------------------------------
