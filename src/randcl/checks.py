@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closure import (
+    _closure_member,
     _if_less_closure_naive,
     _realized_events,
     _resolve_params,
@@ -188,8 +189,11 @@ class CheckResult:
         return (self.name, self.passed, self.detail)
 
 
-def _value_set(elems) -> set:
-    return {e.values for e in elems}
+def _values(elems) -> list:
+    """Value tuples in order.  Every closure route returns its elements
+    sorted and distinct, so equal lists mean equal sets; comparing lists
+    hashes no value."""
+    return [e.values for e in elems]
 
 
 def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
@@ -253,21 +257,24 @@ def _check_metrics(results, r, rng) -> None:
         for _ in range(3)
     ] + [r.partition.top(), r.partition.bottom()]
     ok, detail = True, ""
-    for a in elems:
-        for b in elems:
-            d = elem_dist(a, b)
-            if d != elem_dist(b, a) or (d == 0) != (a.values == b.values):
+    # every ordered pair measured once, each order by its own call
+    de = [[elem_dist(a, b) for b in elems] for a in elems]
+    dv = [[event_dist(x, y) for y in events] for x in events]
+    for ia, a in enumerate(elems):
+        for ib, b in enumerate(elems):
+            d = de[ia][ib]
+            if d != de[ib][ia] or (d == 0) != (a.values == b.values):
                 ok, detail = False, "element metric axiom failed"
-            for c in elems:
-                if elem_dist(a, c) > d + elem_dist(b, c):
+            for ic in range(len(elems)):
+                if de[ia][ic] > d + de[ib][ic]:
                     ok, detail = False, "element metric triangle failed"
-    for x in events:
-        for y in events:
-            d = event_dist(x, y)
-            if d != event_dist(y, x) or (d == 0) != (x == y):
+    for ix, x in enumerate(events):
+        for iy, y in enumerate(events):
+            d = dv[ix][iy]
+            if d != dv[iy][ix] or (d == 0) != (x == y):
                 ok, detail = False, "event metric axiom failed"
-            for z in events:
-                if event_dist(x, z) > d + event_dist(y, z):
+            for iz in range(len(events)):
+                if dv[ix][iz] > d + dv[iy][iz]:
                     ok, detail = False, "event metric triangle failed"
     _check(results, "metric-axioms", ok, detail)
 
@@ -332,16 +339,25 @@ def _check_algebra_routes(results, r, rng) -> None:
 def _check_closure_routes(results, r, rng) -> None:
     A = sample_params(rng, r)
     dc = definable_closure(r, A)
-    fo = fo_definable_closure(r, A)
-    ok = _value_set(dc) == _value_set(fo)
+    vals = _values(dc)
+    ok = vals == _values(fo_definable_closure(r, A))
     detail = f"formula route differs from closure for A={A}"
+    if ok:
+        # the membership test against the enumeration: every member is
+        # one, and each named element is one exactly when enumerated
+        elems = _resolve_params(r, A)
+        ok = all(_closure_member(r, c, elems) for c in dc) and all(
+            _closure_member(r, e, elems) == (e.values in vals)
+            for e in r.elements.values()
+        )
+        detail = f"closure membership differs from enumeration for A={A}"
     if ok and r.sig.is_dlo:
         lc = if_less_closure(r, A)
-        ok = _value_set(lc) == _value_set(dc)
+        ok = _values(lc) == vals
         detail = f"if_less closure differs from closure for A={A}"
         if ok and len(dc) <= 10:
             naive = _if_less_closure_naive(r, A)
-            ok = _value_set(naive) == _value_set(lc)
+            ok = _values(naive) == _values(lc)
             detail = f"if_less fixpoint routes disagree for A={A}"
     _check(results, "closure-routes", ok, detail)
 
@@ -376,11 +392,13 @@ def _check_closure_laws(results, r, rng) -> None:
     bigger = A + [n for n in names if n not in A][: rng.randint(0, 2)]
     small = definable_closure(r, A)
     large = definable_closure(r, bigger)
-    ok = _value_set(small) <= _value_set(large)
+    # both sorted: small is a subset of large iff a subsequence of it
+    rest = iter(_values(large))
+    ok = all(any(v == w for w in rest) for v in _values(small))
     detail = f"monotonicity failed for {A} vs {bigger}"
     if ok:
         again = definable_closure(r, small)
-        ok = _value_set(again) == _value_set(small)
+        ok = _values(again) == _values(small)
         detail = f"idempotence failed for A={A}"
     _check(results, "closure-laws", ok, detail)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .formula import Exists, Formula, Record
 from .measure import Event, EventAlgebra
@@ -24,14 +24,12 @@ from .randvar import (
     _type_rows,
     differs,
     eval_event,
-    if_less,
 )
 from .theory import (
     Value,
     definable_in_model,
     isolating_formula,
     isolating_vars,
-    type_key,
 )
 
 Param = str | RandomElement
@@ -147,6 +145,35 @@ def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> b
 # event-local and whole-element deciders
 # ---------------------------------------------------------------------------
 
+def _places(
+    r: Randomization, elems: Sequence[RandomElement], b: RandomElement
+) -> list[Value]:
+    """The element's own column of the type rows of (elems, b): with the
+    rows of elems (randvar._type_rows), it gives b's type on each atom.
+
+    Under DLO, 2k where b equals the parameters' value of rank k, 2k + 1
+    where b lies strictly between ranks k and k + 1, and -1 below every
+    value; so an even place means some parameter pins b there.  Under an
+    enumerated domain, b's value.
+    """
+    if not r.sig.is_dlo:
+        return list(b.values)
+    columns = [e.values for e in elems]
+    out = []
+    for i, (row, v) in enumerate(zip(_type_rows(r, tuple(elems)), b.values)):
+        place = -1
+        for col, k in zip(columns, row):
+            w = col[i]
+            # decoded closure members share the parameters' value objects
+            if w is v or w == v:
+                place = 2 * k
+                break
+            if 2 * k + 1 > place and w < v:
+                place = 2 * k + 1
+        out.append(place)
+    return out
+
+
 def fo_definable_on(
     r: Randomization, elem: Param, e: Event, params: ParamSet
 ) -> bool:
@@ -164,31 +191,22 @@ def fo_definable_on(
     if e.partition != r.partition:
         raise ValueError("partition mismatch")
 
-    base_key = {}
-    refined_key = {}
-    for i in range(r.partition.size):
-        vals = tuple(x.values[i] for x in elems)
-        base_key[i] = type_key(r.sig, vals)
-        refined_key[i] = type_key(r.sig, vals + (b.values[i],))
     refined_groups: dict[tuple, list[int]] = {}
-    for i in range(r.partition.size):
-        refined_groups.setdefault(refined_key[i], []).append(i)
+    rows = _type_rows(r, tuple(elems))
+    for i, key in enumerate(zip(rows, _places(r, elems, b))):
+        refined_groups.setdefault(key, []).append(i)
 
     selected_base: set[tuple] = set()
-    for key, group in refined_groups.items():
-        inside = [i for i in group if i in e.members]
+    for (base, place), group in refined_groups.items():
+        inside = sum(1 for i in group if i in e.members)
         if not inside:
             continue
-        if len(inside) != len(group):
+        if inside != len(group):
             return False  # e splits a refined group
-        rep = group[0]
-        base = base_key[rep]
         if base in selected_base:
             return False  # two selected groups over one parameter type
         selected_base.add(base)
-        if r.sig.is_dlo and not any(
-            x.values[rep] == b.values[rep] for x in elems
-        ):
+        if r.sig.is_dlo and place % 2:
             return False  # nothing pins the element on this group
     return True
 
@@ -260,12 +278,62 @@ def piecewise_definable(
 # closure enumerations
 # ---------------------------------------------------------------------------
 
-def _sorted_elems(
-    r: Randomization, vectors: set[tuple[Value, ...]]
+def _group_restrictions(
+    r: Randomization,
+    elems: Sequence[RandomElement],
+    groups: Sequence[tuple[int, ...]],
+) -> list[list[tuple[Value, ...]]]:
+    """For each type group, the restrictions to it that a closure member
+    can take, in increasing order of value.
+
+    DLO: the parameters' restrictions; all atoms of a group share the
+    parameters' ranks, so the one of rank k is the kth.  Enumerated
+    domain: the constant ones.
+    """
+    if not r.sig.is_dlo:
+        assert r.sig.n is not None
+        return [[(v,) * len(g) for v in range(r.sig.n)] for g in groups]
+    rows = _type_rows(r, tuple(elems))
+    out = []
+    for g in groups:
+        of_rank: dict[int, RandomElement] = {}
+        for e, k in zip(elems, rows[g[0]]):
+            of_rank.setdefault(k, e)
+        out.append(
+            [tuple(of_rank[k].values[i] for i in g) for k in range(len(of_rank))]
+        )
+    return out
+
+
+def _values_by_rank(
+    r: Randomization, elems: Sequence[RandomElement]
+) -> list[list[Value]]:
+    """On each atom, the parameters' distinct values in increasing order:
+    entry k is the value of rank k in randvar._type_rows (DLO only)."""
+    out = []
+    for i, row in enumerate(_type_rows(r, tuple(elems))):
+        vals: list[Value] = [0] * (max(row) + 1)
+        for e, k in zip(elems, row):
+            vals[k] = e.values[i]
+        out.append(vals)
+    return out
+
+
+def _assemble(
+    r: Randomization,
+    groups: Sequence[tuple[int, ...]],
+    combos: Iterable[Sequence[tuple[Value, ...]]],
 ) -> list[RandomElement]:
-    return [
-        RandomElement(r.sig, r.partition, v) for v in sorted(vectors)
-    ]
+    """The elements taking, on each group, the restriction a combo gives."""
+    out = []
+    size = r.partition.size
+    for combo in combos:
+        vec: list[Value] = [0] * size
+        for g, restriction in zip(groups, combo):
+            for pos, val in zip(g, restriction):
+                vec[pos] = val
+        out.append(RandomElement._trusted(r.sig, r.partition, tuple(vec)))
+    return out
 
 
 def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -274,72 +342,43 @@ def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]
     Ordered theory: all mixtures that agree with some parameter on each
     atom of the parameter event algebra (no parameters means no elements).
     Enumerated domain: all step functions measurable in that algebra.
+
+    The output is sorted by value tuple without comparing a value: the
+    groups are ordered by first atom and each group's restrictions by
+    value, so the product already runs in lexicographic order, and no two
+    combinations give the same element.
     """
     elems = _resolve_params(r, params)
     if r.sig.is_dlo and not elems:
         return []
     groups = _group_indices(r, elems)
-    per_group: list[list[tuple[Value, ...]]] = []
-    if r.sig.is_dlo:
-        for g in groups:
-            seen: dict[tuple[Value, ...], None] = {}
-            for e in elems:
-                seen.setdefault(tuple(e.values[i] for i in g))
-            per_group.append(list(seen))
-    else:
-        assert r.sig.n is not None
-        for g in groups:
-            per_group.append([(v,) * len(g) for v in range(r.sig.n)])
-    vectors: set[tuple[Value, ...]] = set()
-    size = r.partition.size
-    for combo in itertools.product(*per_group):
-        vec: list[Value] = [0] * size
-        for g, restriction in zip(groups, combo):
-            for pos, val in zip(g, restriction):
-                vec[pos] = val
-        vectors.add(tuple(vec))
-    return _sorted_elems(r, vectors)
+    per_group = _group_restrictions(r, elems, groups)
+    return _assemble(r, groups, itertools.product(*per_group))
 
 
 def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
     """Every element carved out everywhere by a functional formula over the
     parameters; enumerated independently of definable_closure by filtering
-    a sound candidate pool through fo_definable_on."""
+    a sound candidate pool through fo_definable_on.
+
+    Each pool is in increasing order, so the candidates, and with them the
+    output, come in lexicographic order.
+    """
     elems = _resolve_params(r, params)
     top = r.partition.top()
-    pools: list[list[Value]]
+    candidates: Iterable[RandomElement]
     if r.sig.is_dlo:
         if not elems:
             return []
-        pools = []
-        for i in range(r.partition.size):
-            seen: dict[Value, None] = {}
-            for e in elems:
-                seen.setdefault(e.values[i])
-            pools.append(list(seen))
-        candidates = (tuple(vec) for vec in itertools.product(*pools))
-    else:
-        assert r.sig.n is not None
-        groups = _group_indices(r, elems)
-        size = r.partition.size
-
-        def enum_candidates():
-            for combo in itertools.product(range(r.sig.n), repeat=len(groups)):
-                vec: list[Value] = [0] * size
-                for g, v in zip(groups, combo):
-                    for pos in g:
-                        vec[pos] = v
-                yield tuple(vec)
-
-        candidates = enum_candidates()
-    vectors = {
-        vec
-        for vec in candidates
-        if fo_definable_on(
-            r, RandomElement(r.sig, r.partition, vec), top, elems
+        candidates = (
+            RandomElement._trusted(r.sig, r.partition, vec)
+            for vec in itertools.product(*_values_by_rank(r, elems))
         )
-    }
-    return _sorted_elems(r, vectors)
+    else:
+        groups = _group_indices(r, elems)
+        per_group = _group_restrictions(r, elems, groups)
+        candidates = _assemble(r, groups, itertools.product(*per_group))
+    return [b for b in candidates if fo_definable_on(r, b, top, elems)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +387,39 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
 
 def _if_less_closure_naive(r: Randomization, params: ParamSet) -> list[RandomElement]:
     """Reference fixpoint: iterate if_less over element quadruples until no
-    new element appears.  Exponential; only for small cross-checks."""
+    new element appears.  Exponential; only for small cross-checks.
+
+    Every element reached takes, on each atom, one of the parameters'
+    values there, so it is held as its tuple of per-atom ranks, which
+    if_less compares exactly as it would the values.
+    """
     elems = _resolve_params(r, params)
     if not r.sig.is_dlo:
         raise ValueError("if_less closure needs an ordered theory")
-    current = {e.values: e for e in elems}
+    if not elems:
+        return []
+    rows = _type_rows(r, tuple(elems))
+    current = dict.fromkeys(zip(*rows))
     while True:
-        pool = list(current.values())
+        pool = list(current)
         added = False
         for a, b in itertools.product(pool, repeat=2):
             for x, y in itertools.product(pool, repeat=2):
-                z = if_less(a, b, x, y)
-                if z.values not in current:
-                    current[z.values] = z
+                z = tuple(
+                    xi if ai < bi else yi for ai, bi, xi, yi in zip(a, b, x, y)
+                )
+                if z not in current:
+                    current[z] = None
                     added = True
         if not added:
-            return _sorted_elems(r, set(current))
+            break
+    by_rank = _values_by_rank(r, elems)
+    return [
+        RandomElement._trusted(
+            r.sig, r.partition, tuple(vals[k] for vals, k in zip(by_rank, ranks))
+        )
+        for ranks in sorted(current)
+    ]
 
 
 def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -380,6 +436,10 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
     realized comparison orders two of its patterns differently on two of
     its coordinates.  Once no block splits, the closure is the product of
     the per-block pattern sets.
+
+    A pattern gives, per group, the rank of the parameter restriction it
+    takes there (see _group_restrictions); ranks compare as the
+    restrictions do on every atom of the group.
     """
     elems = _resolve_params(r, params)
     if not r.sig.is_dlo:
@@ -388,39 +448,22 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
         return []
     groups = _group_indices(r, elems)
     m = len(groups)
-
-    restrictions: list[list[tuple[Value, ...]]] = []
-    elem_coord: list[list[int]] = [[] for _ in elems]
-    for g in groups:
-        table: dict[tuple[Value, ...], int] = {}
-        for j, e in enumerate(elems):
-            vec = tuple(e.values[i] for i in g)
-            idx = table.setdefault(vec, len(table))
-            elem_coord[j].append(idx)
-        restrictions.append(list(table))
-
-    # distinct restrictions on a group have distinct leading values, and the
-    # comparison between two of them is the same on every atom of the group
-    less: list[list[list[bool]]] = [
-        [[ri[0] < rj[0] for rj in rs] for ri in rs] for rs in restrictions
-    ]
+    rows = _type_rows(r, tuple(elems))
 
     def dedup(pats) -> list[tuple[int, ...]]:
         return list(dict.fromkeys(pats))
 
     Block = tuple[tuple[int, ...], list[tuple[int, ...]]]
     blocks: list[Block] = [
-        (tuple(range(m)), dedup(tuple(ec) for ec in elem_coord))
+        (tuple(range(m)), dedup(zip(*(rows[g[0]] for g in groups))))
     ]
     while True:
         split = False
         refined: list[Block] = []
         for coords, pats in blocks:
             by_sig: dict[tuple[bool, ...], list[int]] = {}
-            for pos, d in enumerate(coords):
-                sig = tuple(
-                    less[d][t[pos]][s[pos]] for t in pats for s in pats
-                )
+            for pos in range(len(coords)):
+                sig = tuple(t[pos] < s[pos] for t in pats for s in pats)
                 by_sig.setdefault(sig, []).append(pos)
             if len(by_sig) == 1:
                 refined.append((coords, pats))
@@ -434,21 +477,48 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
         if not split:
             break
 
-    vectors: set[tuple[Value, ...]] = set()
-    size = r.partition.size
+    # distinct combinations give distinct rank tuples; sorting those sorts
+    # the elements by value, the groups being ordered by first atom
+    choices = []
     for combo in itertools.product(*(pats for _, pats in blocks)):
-        vec: list[Value] = [0] * size
+        ranks = [0] * m
         for (coords, _), pat in zip(blocks, combo):
-            for d, idx in zip(coords, pat):
-                for pos, val in zip(groups[d], restrictions[d][idx]):
-                    vec[pos] = val
-        vectors.add(tuple(vec))
-    return _sorted_elems(r, vectors)
+            for d, k in zip(coords, pat):
+                ranks[d] = k
+        choices.append(ranks)
+    choices.sort()
+    per_group = _group_restrictions(r, elems, groups)
+    return _assemble(
+        r,
+        groups,
+        ([per_group[d][k] for d, k in enumerate(ranks)] for ranks in choices),
+    )
 
 
 # ---------------------------------------------------------------------------
 # combined report
 # ---------------------------------------------------------------------------
+
+def _closure_member(
+    r: Randomization, b: RandomElement, elems: Sequence[RandomElement]
+) -> bool:
+    """Whether b is in definable_closure(r, elems), without enumerating it.
+
+    On every type group of the parameters, b's restriction must be one
+    that definable_closure takes there: some parameter's under DLO (so no
+    parameters means no member), a constant one under an enumerated
+    domain.  Under DLO that is an even place (_places) that is the same on
+    the whole group, under an enumerated domain a constant value.
+    """
+    if r.sig.is_dlo and not elems:
+        return False
+    places = _places(r, elems, b)
+    for g in _group_indices(r, elems):
+        place = places[g[0]]
+        if (r.sig.is_dlo and place % 2) or any(places[i] != place for i in g):
+            return False
+    return True
+
 
 class DefinabilityReport:
     """The verdict and each decider's answer; compared by both, unhashable."""
@@ -480,6 +550,5 @@ def definability_report(
         paths["pinning"] = is_definable_by_pinning(r, b, params)
     paths["piecewise_family"] = piecewise_definable(r, b, params)[0]
     paths["isolating_events"] = is_definable_by_isolating_events(r, b, params)
-    closure = definable_closure(r, params)
-    paths["closure_member"] = any(b.values == c.values for c in closure)
+    paths["closure_member"] = _closure_member(r, b, _resolve_params(r, params))
     return DefinabilityReport(paths["pointwise_algebra"], paths)

@@ -302,15 +302,20 @@ def free_vars(f: Formula) -> tuple[str, ...]:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All nodes of f, preorder."""
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, _Binary):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
-    elif isinstance(f, _Quantifier):
-        yield from subformulas(f.body)
+    """All nodes of f, preorder.
+
+    An explicit stack: nested generators would cost every node one resume
+    per level above it.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (Not, _Quantifier)):
+            stack.append(g.body)
+        elif isinstance(g, _Binary):
+            stack.append(g.rhs)
+            stack.append(g.lhs)
 
 
 def is_quantifier_free(f: Formula) -> bool:

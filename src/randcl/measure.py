@@ -25,17 +25,11 @@ def as_fraction(v: object) -> Fraction:
     return Fraction(v)
 
 
-def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
-    """Sum of Fractions over their common denominator: one integer pass
-    instead of a normalizing Fraction addition per term."""
-    ws = list(weights)
-    denom = math.lcm(*(w.denominator for w in ws))
-    return Fraction(sum(w.numerator * (denom // w.denominator) for w in ws), denom)
-
-
 class Partition(Record):
-    # _index: atom name -> index, derived from atoms
-    __slots__ = ("atoms", "_index")
+    # derived from atoms: _index maps atom name -> index; _denom is the
+    # weights' common denominator and _nums their numerators over it, so
+    # sums of weights are integer sums
+    __slots__ = ("atoms", "_index", "_denom", "_nums")
 
     def __init__(self, atoms: Iterable[tuple[str, Fraction | int | str]]):
         atoms = tuple(
@@ -52,9 +46,12 @@ class Partition(Record):
         for n, w in atoms:
             if w <= 0:
                 raise ValueError(f"atom {n!r} has nonpositive weight {w}")
-        total = _exact_sum(w for _, w in atoms)
-        if total != 1:
-            raise ValueError(f"weights sum to {total}")
+        denom = math.lcm(*(w.denominator for _, w in atoms))
+        nums = tuple(w.numerator * (denom // w.denominator) for _, w in atoms)
+        if sum(nums) != denom:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), denom)}")
+        _set(self, "_denom", denom)
+        _set(self, "_nums", nums)
 
     def _fields(self) -> tuple:
         return (self.atoms,)
@@ -108,7 +105,8 @@ class Event(Record):
 
     @property
     def prob(self) -> Fraction:
-        return _exact_sum(self.partition.weight(i) for i in self.members)
+        nums = self.partition._nums
+        return Fraction(sum(nums[i] for i in self.members), self.partition._denom)
 
     def is_top(self) -> bool:
         return len(self.members) == self.partition.size

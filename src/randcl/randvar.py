@@ -49,6 +49,19 @@ class RandomElement(Record):
         _set(self, "partition", partition)
         _set(self, "values", vals)
 
+    @classmethod
+    def _trusted(
+        cls, sig: Signature, partition: Partition, values: tuple
+    ) -> RandomElement:
+        """An element whose values were all taken from elements of the
+        same space (decoded closure members, if_less, glue), so they need
+        no checking again."""
+        e = object.__new__(cls)
+        _set(e, "sig", sig)
+        _set(e, "partition", partition)
+        _set(e, "values", values)
+        return e
+
     def _fields(self) -> tuple:
         return (self.sig, self.partition, self.values)
 
@@ -113,9 +126,10 @@ class Randomization:
 
 
 def _compatible(a: RandomElement, b: RandomElement) -> None:
-    if a.partition != b.partition:
+    # elements of one space share these objects, so identity settles most
+    if a.partition is not b.partition and a.partition != b.partition:
         raise ValueError("partition mismatch")
-    if a.sig != b.sig:
+    if a.sig is not b.sig and a.sig != b.sig:
         raise ValueError("signature mismatch")
 
 
@@ -200,7 +214,7 @@ def glue(a: RandomElement, b: RandomElement, e: Event) -> RandomElement:
         a.values[i] if i in e.members else b.values[i]
         for i in range(a.partition.size)
     )
-    return RandomElement(a.sig, a.partition, values)
+    return RandomElement._trusted(a.sig, a.partition, values)
 
 
 def indicator(e: Event, a: RandomElement, b: RandomElement) -> RandomElement:
@@ -225,10 +239,10 @@ def if_less(
     if not a.sig.is_dlo:
         raise ValueError("if_less needs an ordered theory")
     values = tuple(
-        x.values[i] if a.values[i] < b.values[i] else y.values[i]
-        for i in range(a.partition.size)
+        xv if av < bv else yv
+        for av, bv, xv, yv in zip(a.values, b.values, x.values, y.values)
     )
-    return RandomElement(a.sig, a.partition, values)
+    return RandomElement._trusted(a.sig, a.partition, values)
 
 
 def pointwise_min(a: RandomElement, b: RandomElement) -> RandomElement:

@@ -13,6 +13,8 @@ from randcl import (
     Const,
     Exists,
     Forall,
+    Iff,
+    Implies,
     Not,
     Or,
     ParseError,
@@ -152,6 +154,43 @@ def test_check_signature():
 def test_quantifier_free_detection():
     assert is_quantifier_free(parse("a < b & b < a"))
     assert not is_quantifier_free(parse("exists u. a < u"))
+
+
+# ---------------------------------------------------------------------------
+# subformula walk
+# ---------------------------------------------------------------------------
+
+def _subformulas_recursive(f):
+    """Reference preorder walk, written recursively."""
+    yield f
+    if isinstance(f, (Not, Exists, Forall)):
+        yield from _subformulas_recursive(f.body)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        yield from _subformulas_recursive(f.lhs)
+        yield from _subformulas_recursive(f.rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sig=st.sampled_from([DLO, E2]),
+    quantifiers=st.integers(0, 3),
+    depth=st.integers(0, 8),
+)
+def test_subformulas_is_the_recursive_preorder(seed, sig, quantifiers, depth):
+    f = random_formula(random.Random(seed), sig, ("a", "b"), quantifiers, depth)
+    got = list(subformulas(f))
+    want = list(_subformulas_recursive(f))
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_subformulas_walks_past_the_recursion_limit():
+    f = parse("a < b")
+    for _ in range(5000):
+        f = Not(f)
+    assert sum(1 for _ in subformulas(f)) == 5001
+    assert is_quantifier_free(f)
 
 
 # ---------------------------------------------------------------------------
