@@ -16,13 +16,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closure import (
-    _closure_member,
     _if_less_closure_naive,
     _realized_events,
     _resolve_params,
     definability_report,
     definable_closure,
     fo_definable_closure,
+    fo_definable_on,
     fo_event_algebra,
     if_less_closure,
 )
@@ -345,9 +345,9 @@ def _check_closure_routes(results, r, rng) -> None:
     if ok:
         # the membership test against the enumeration: every member is
         # one, and each named element is one exactly when enumerated
-        elems = _resolve_params(r, A)
-        ok = all(_closure_member(r, c, elems) for c in dc) and all(
-            _closure_member(r, e, elems) == (e.values in vals)
+        elems, top = _resolve_params(r, A), r.partition.top()
+        ok = all(fo_definable_on(r, c, top, elems) for c in dc) and all(
+            fo_definable_on(r, e, top, elems) == (e.values in vals)
             for e in r.elements.values()
         )
         detail = f"closure membership differs from enumeration for A={A}"

@@ -36,9 +36,8 @@ from .closure import (
 )
 from .formula import free_vars, parse
 from .measure import Event, event_dist
-from .randfile import load, to_payload
+from .randfile import _values_payload, load, to_payload
 from .randvar import (
-    RandomElement,
     Randomization,
     elem_dist,
     eval_event,
@@ -63,10 +62,12 @@ def _event_payload(e: Event) -> list[str]:
     return [names[i] for i in sorted(e.members)]
 
 
-def _value_payload(r: Randomization, e: RandomElement) -> list:
-    if r.sig.is_dlo:
-        return [str(v) for v in e.values]
-    return list(e.values)
+def _emit_event(args, ev: Event) -> None:
+    _emit(
+        args,
+        [f"{ev}, probability = {ev.prob}"],
+        {"event": _event_payload(ev), "probability": str(ev.prob)},
+    )
 
 
 def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
@@ -84,7 +85,7 @@ def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
         names.append(next((n for v, n in bucket if v == e.values), None))
     if args.format == "structured":
         payload = [
-            {"name": n, "values": _value_payload(r, e)} for n, e in zip(names, elems)
+            {"name": n, "values": _values_payload(e)} for n, e in zip(names, elems)
         ]
         return [], {"count": len(elems), "elements": payload}
     lines = [f"{len(elems)} elements:"]
@@ -104,7 +105,7 @@ def _parse_event(r: Randomization, text: str) -> Event:
     return r.partition.event(names)
 
 
-def _identity_binding(r: Randomization, f, skip: tuple[str, ...] = ()) -> dict:
+def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
     return {v: v for v in free_vars(f) if v not in skip}
 
 
@@ -115,12 +116,7 @@ def _identity_binding(r: Randomization, f, skip: tuple[str, ...] = ()) -> dict:
 def _cmd_eval(args) -> int:
     r = load(args.file)
     f = parse(args.formula, r.sig)
-    ev = eval_event(r, f, _identity_binding(r, f))
-    _emit(
-        args,
-        [f"{ev}, probability = {ev.prob}"],
-        {"event": _event_payload(ev), "probability": str(ev.prob)},
-    )
+    _emit_event(args, eval_event(r, f, _identity_binding(f)))
     return 0
 
 
@@ -132,18 +128,9 @@ def _cmd_dclb(args) -> int:
     return 0
 
 
-def _cmd_dcl(args) -> int:
+def _cmd_closure(args) -> int:
     r = load(args.file)
-    elems = definable_closure(r, args.params)
-    lines, payload = _element_lines(r, args, elems)
-    _emit(args, lines, payload)
-    return 0
-
-
-def _cmd_lcl(args) -> int:
-    r = load(args.file)
-    elems = if_less_closure(r, args.params)
-    lines, payload = _element_lines(r, args, elems)
+    lines, payload = _element_lines(r, args, args.closure(r, args.params))
     _emit(args, lines, payload)
     return 0
 
@@ -168,11 +155,7 @@ def _cmd_isdef(args) -> int:
 def _cmd_pointwise(args) -> int:
     r = load(args.file)
     ev = pointwise_definable_event(r, args.element, args.params)
-    _emit(
-        args,
-        [f"{ev}, probability = {ev.prob}"],
-        {"event": _event_payload(ev), "probability": str(ev.prob)},
-    )
+    _emit_event(args, ev)
     return 0 if ev.is_top() else 1
 
 
@@ -189,16 +172,15 @@ def _cmd_dist(args) -> int:
 def _cmd_glue(args) -> int:
     r = load(args.file)
     c = glue(r.element(args.a), r.element(args.b), _parse_event(r, args.event))
-    _emit(args, [str(c)], {"values": _value_payload(r, c)})
+    _emit(args, [str(c)], {"values": _values_payload(c)})
     return 0
 
 
 def _cmd_witness(args) -> int:
     r = load(args.file)
     theta = parse(args.formula, r.sig)
-    binding = _identity_binding(r, theta, skip=(args.var,))
-    w = witness(r, theta, args.var, binding)
-    _emit(args, [str(w)], {"values": _value_payload(r, w)})
+    w = witness(r, theta, args.var, _identity_binding(theta, skip=(args.var,)))
+    _emit(args, [str(w)], {"values": _values_payload(w)})
     return 0
 
 
@@ -279,12 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("formula")
 
-    for name, handler, help_text in (
-        ("dclb", _cmd_dclb, "atoms of the parameter-definable event algebra"),
-        ("dcl", _cmd_dcl, "enumerate the definable closure"),
-        ("lcl", _cmd_lcl, "closure under if_less (ordered theory only)"),
+    for name, closure, help_text in (
+        ("dclb", None, "atoms of the parameter-definable event algebra"),
+        ("dcl", definable_closure, "enumerate the definable closure"),
+        ("lcl", if_less_closure, "closure under if_less (ordered theory only)"),
     ):
-        p = cmd(name, handler, help_text)
+        p = cmd(name, _cmd_closure if closure else _cmd_dclb, help_text)
+        p.set_defaults(closure=closure)
         p.add_argument("file")
         p.add_argument("params", nargs="*", metavar="PARAM")
 

@@ -21,6 +21,7 @@ from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
     Randomization,
+    _resolve,
     _type_rows,
     differs,
     eval_event,
@@ -35,21 +36,13 @@ from .theory import (
 Param = str | RandomElement
 ParamSet = Sequence[Param]
 
-def _resolve_elem(r: Randomization, p: Param) -> RandomElement:
-    if isinstance(p, str):
-        return r.element(p)
-    if p.sig != r.sig or p.partition != r.partition:
-        raise ValueError("parameter built for a different space")
-    return p
-
-
 def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
     names = [p for p in params if isinstance(p, str)]
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter name")
     out: list[RandomElement] = []
     for p in params:
-        e = _resolve_elem(r, p)
+        e = _resolve(r, p)
         # compared, not hashed: Fraction hashing is slow and params are few
         if all(e.values != o.values for o in out):
             out.append(e)
@@ -65,7 +58,7 @@ def _group_indices(r: Randomization, elems: Sequence[RandomElement]) -> list[tup
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(_type_rows(r, tuple(elems))):
         groups.setdefault(key, []).append(i)
-    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+    return [tuple(g) for g in groups.values()]  # in first-atom order
 
 
 def _realized_isolating(
@@ -125,7 +118,7 @@ def pointwise_definable_event(
 ) -> Event:
     """Atoms on which the element's value is definable from the parameter
     values inside the fiber model."""
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     elems = _resolve_params(r, params)
     members = frozenset(
         i
@@ -185,30 +178,33 @@ def fo_definable_on(
     selected groups share a parameter order type, and on each selected
     group the element coincides with one of the parameters (automatic for
     an enumerated domain, where every value is named by a constant).
+
+    On the sure event this is membership in definable_closure, decided per
+    parameter type group without enumerating it: under DLO the element's
+    restriction must be some parameter's (so no parameters means no
+    member), under an enumerated domain constant.
     """
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     elems = _resolve_params(r, params)
     if e.partition != r.partition:
         raise ValueError("partition mismatch")
 
-    refined_groups: dict[tuple, list[int]] = {}
     rows = _type_rows(r, tuple(elems))
-    for i, key in enumerate(zip(rows, _places(r, elems, b))):
-        refined_groups.setdefault(key, []).append(i)
-
-    selected_base: set[tuple] = set()
-    for (base, place), group in refined_groups.items():
-        inside = sum(1 for i in group if i in e.members)
-        if not inside:
-            continue
-        if inside != len(group):
-            return False  # e splits a refined group
-        if base in selected_base:
+    places = _places(r, elems, b)
+    # the element's place on each parameter type that e meets
+    chosen: dict[tuple, Value] = {}
+    for i in e.members:
+        place = chosen.setdefault(rows[i], places[i])
+        if place != places[i]:
             return False  # two selected groups over one parameter type
-        selected_base.add(base)
         if r.sig.is_dlo and place % 2:
             return False  # nothing pins the element on this group
-    return True
+    # e holds every atom of each refined group it meets
+    return all(
+        chosen.get(rows[i]) != places[i]
+        for i in range(r.partition.size)
+        if i not in e.members
+    )
 
 
 def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
@@ -216,7 +212,7 @@ def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
     the element refines the parameter event algebra by nothing."""
     if not is_pointwise_definable(r, elem, params):
         return False
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     base = fo_event_algebra(r, params)
     refined = fo_event_algebra(r, tuple(params) + (b,))
     return all(base.contains(atom) for atom in refined.atoms)
@@ -228,7 +224,7 @@ def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> 
     must coincide with one of them."""
     if not r.sig.is_dlo:
         raise ValueError("pinning decider needs an ordered theory")
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     elems = _resolve_params(r, params)
     return all(
         any(ev.members <= (~differs(b, x)).members for x in elems)
@@ -245,7 +241,7 @@ def is_definable_by_isolating_events(
     its existential projection."""
     if not is_pointwise_definable(r, elem, params):
         return False
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     elems = _resolve_params(r, params)
     n = len(elems)
     u = f"v{n + 1}"
@@ -499,27 +495,6 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
 # combined report
 # ---------------------------------------------------------------------------
 
-def _closure_member(
-    r: Randomization, b: RandomElement, elems: Sequence[RandomElement]
-) -> bool:
-    """Whether b is in definable_closure(r, elems), without enumerating it.
-
-    On every type group of the parameters, b's restriction must be one
-    that definable_closure takes there: some parameter's under DLO (so no
-    parameters means no member), a constant one under an enumerated
-    domain.  Under DLO that is an even place (_places) that is the same on
-    the whole group, under an enumerated domain a constant value.
-    """
-    if r.sig.is_dlo and not elems:
-        return False
-    places = _places(r, elems, b)
-    for g in _group_indices(r, elems):
-        place = places[g[0]]
-        if (r.sig.is_dlo and place % 2) or any(places[i] != place for i in g):
-            return False
-    return True
-
-
 class DefinabilityReport:
     """The verdict and each decider's answer; compared by both, unhashable."""
 
@@ -543,12 +518,12 @@ def definability_report(
     r: Randomization, elem: Param, params: ParamSet
 ) -> DefinabilityReport:
     """Run every applicable definability decider and collect the verdicts."""
-    b = _resolve_elem(r, elem)
+    b = _resolve(r, elem)
     paths: dict[str, bool] = {}
     paths["pointwise_algebra"] = is_definable(r, b, params)
     if r.sig.is_dlo:
         paths["pinning"] = is_definable_by_pinning(r, b, params)
     paths["piecewise_family"] = piecewise_definable(r, b, params)[0]
     paths["isolating_events"] = is_definable_by_isolating_events(r, b, params)
-    paths["closure_member"] = _closure_member(r, b, _resolve_params(r, params))
+    paths["closure_member"] = fo_definable_on(r, b, r.partition.top(), params)
     return DefinabilityReport(paths["pointwise_algebra"], paths)

@@ -450,6 +450,7 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+_BIN_BY_TEXT = {op.strip(): cls for cls, (op, *_) in _BIN_INFO.items()}
 _KEYWORDS = {"exists", "forall", "true", "false"}
 _CONST_RE = re.compile(r"c([0-9]+)\Z")
 
@@ -495,35 +496,18 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    # grammar, loosest binding first
-
-    def formula(self) -> Formula:
-        left = self.implies()
-        if self.peek()[0] == "iff":
-            self.next()
-            return Iff(left, self.formula())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "implies":
-            self.next()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "disj":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def formula(self, need: int = 0) -> Formula:
+        """Precedence climbing over _BIN_INFO: the longest formula whose
+        top-level operators have precedence at least need.  Each right
+        operand needs the operator's right-child precedence, so & and |
+        associate to the left and the arrows to the right."""
         f = self.unary()
-        while self.peek()[0] == "conj":
+        while True:
+            cls = _BIN_BY_TEXT.get(self.peek()[1])
+            if cls is None or _BIN_INFO[cls][1] < need:
+                return f
             self.next()
-            f = And(f, self.unary())
-        return f
+            f = cls(f, self.formula(_BIN_INFO[cls][3]))
 
     def unary(self) -> Formula:
         kind, word, pos = self.peek()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .formula import DLO, Signature, finite_enum
 from .measure import Partition, partition
-from .randvar import Randomization
+from .randvar import RandomElement, Randomization
 
 _ENUM_RE = re.compile(r"enum\((\d+)\)\Z")
 
@@ -102,16 +102,17 @@ def from_payload(payload: object) -> Randomization:
     return Randomization.build(sig, part, elements)
 
 
+def _values_payload(e: RandomElement) -> list:
+    """An element's values as the file stores them: fraction strings under
+    DLO, plain integers under an enumerated domain."""
+    return [str(v) for v in e.values] if e.sig.is_dlo else list(e.values)
+
+
 def to_payload(r: Randomization) -> dict:
     atoms = [
         [name, str(r.partition.weight(i))] for i, name in enumerate(r.partition.names)
     ]
-    elements: dict[str, list] = {}
-    for name, e in r.elements.items():
-        if r.sig.is_dlo:
-            elements[name] = [str(v) for v in e.values]
-        else:
-            elements[name] = list(e.values)
+    elements = {name: _values_payload(e) for name, e in r.elements.items()}
     return {"theory": _theory_string(r.sig), "atoms": atoms, "elements": elements}
 
 

@@ -18,10 +18,9 @@ from .formula import (
     Formula,
     Record,
     Signature,
-    free_vars,
 )
 from .measure import Event, Partition, as_fraction
-from .theory import Value, eval_qf, qe, type_key
+from .theory import Value, _check_assignment, eval_qf, qe, type_key
 
 _set = object.__setattr__
 
@@ -117,13 +116,6 @@ class Randomization:
         except KeyError:
             raise ValueError(f"unknown element {name!r}") from None
 
-    def with_element(self, name: str, elem: RandomElement) -> "Randomization":
-        if elem.sig != self.sig or elem.partition != self.partition:
-            raise ValueError(f"element {name!r} built for a different space")
-        merged = dict(self.elements)
-        merged[name] = elem
-        return Randomization(self.sig, self.partition, merged)
-
 
 def _compatible(a: RandomElement, b: RandomElement) -> None:
     # elements of one space share these objects, so identity settles most
@@ -133,16 +125,14 @@ def _compatible(a: RandomElement, b: RandomElement) -> None:
         raise ValueError("signature mismatch")
 
 
-def _resolve_binding(
-    r: Randomization, binding: Mapping[str, str | RandomElement]
-) -> dict[str, RandomElement]:
-    out = {}
-    for var, val in binding.items():
-        elem = r.element(val) if isinstance(val, str) else val
-        if elem.sig != r.sig or elem.partition != r.partition:
-            raise ValueError(f"binding for {var!r} built for a different space")
-        out[var] = elem
-    return out
+def _resolve(r: Randomization, p: str | RandomElement) -> RandomElement:
+    """The element p names in r, or p itself once it is checked to belong
+    to r's space."""
+    if isinstance(p, str):
+        return r.element(p)
+    if p.sig != r.sig or p.partition != r.partition:
+        raise ValueError("element built for a different space")
+    return p
 
 
 def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple]:
@@ -175,10 +165,8 @@ def eval_event(
     symbol outside the signature raises before an unbound variable does.
     """
     decide = partial(eval_qf, qe(f, r.sig))
-    bound = _resolve_binding(r, binding)
-    for v in free_vars(f):
-        if v not in bound:
-            raise ValueError(f"unassigned free variable {v!r}")
+    bound = {v: _resolve(r, p) for v, p in binding.items()}
+    _check_assignment(f, bound)
     names = tuple(bound)
     verdicts: dict[tuple, bool] = {}
     members = []
@@ -290,10 +278,8 @@ def witness(
     atom then only does the arithmetic of its own values.
     """
     g = qe(theta, r.sig)
-    bound = _resolve_binding(r, binding or {})
-    for v in free_vars(theta):
-        if v != u and v not in bound:
-            raise ValueError(f"unassigned free variable {v!r}")
+    bound = {v: _resolve(r, p) for v, p in (binding or {}).items()}
+    _check_assignment(Exists(u, theta), bound)  # u itself needs no binding
     params = {var: e for var, e in bound.items() if var != u}
     if r.sig.is_dlo:
         rule = _dlo_rule

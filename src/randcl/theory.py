@@ -134,13 +134,14 @@ def _is_var(t: Term, name: str) -> bool:
 
 
 def _place(a: Atom, u: str, t: Term | None, above: bool) -> Formula:
-    """Truth of a folded atom with u at a test point: below every term
-    (t is None), at t, or just above t and below every larger term."""
+    """Truth of a folded atom with u at a test point: below every term (t
+    is None, not above), above every term (t is None, above), at t, or just
+    above t and below every larger term."""
     lu, ru = _is_var(a.lhs, u), _is_var(a.rhs, u)
     if not (lu or ru):
         return a
     if t is None:
-        return TRUE if lu and a.rel == "<" else FALSE
+        return TRUE if a.rel == "<" and (ru if above else lu) else FALSE
     if not above:
         return _atom(t if lu else a.lhs, a.rel, t if ru else a.rhs)
     if a.rel == "=":
@@ -174,6 +175,11 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
     below every term, at each term, and just above each term.  Enumerated
     domain: every constant.  The result is the disjunction (conjunction)
     of body at the test points, with duplicate and unit parts dropped.
+
+    Under DLO, body is first probed above every term: if that folds to the
+    absorbing constant (true for exists, false for forall), so does the
+    quantifier, and no test point is tried.  The probe is never a part, so
+    it cannot make the output larger.
     """
     terms: dict[Term, None] = {}
     for g in subformulas(body):
@@ -184,13 +190,16 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
                 terms.setdefault(g.lhs)
     if not terms:
         return body
+    absorbing, unit = (Truth, Falsity) if exists else (Falsity, Truth)
     if sig.is_dlo:
+        above_all = _at(body, u, None, True)
+        if isinstance(above_all, absorbing):
+            return above_all
         points = [(None, False)]
         points += [(t, above) for t in terms for above in (False, True)]
     else:
         assert sig.n is not None
         points = [(Const(c), False) for c in range(sig.n)]
-    absorbing, unit = (Truth, Falsity) if exists else (Falsity, Truth)
     parts: dict[Formula, None] = {}
     for t, above in points:
         g = _at(body, u, t, above)
@@ -394,7 +403,11 @@ def isolating_vars(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
-@lru_cache(maxsize=None)
+# a few entries: one can hold ordered-Bell(n) formulas
+_ISOLATING_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_ISOLATING_CACHE_SIZE)
 def _isolating_dlo(n: int) -> tuple[Formula, ...]:
     if n == 0:
         return (TRUE,)
@@ -419,7 +432,7 @@ def _isolating_dlo(n: int) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ISOLATING_CACHE_SIZE)
 def _isolating_enum(n_vars: int, domain: int) -> tuple[Formula, ...]:
     out = []
     for combo in itertools.product(range(domain), repeat=n_vars):

@@ -60,6 +60,37 @@ def test_parse_arrows_right_associative():
     assert parse("a<b -> a=b -> b<a") == parse("a<b -> (a=b -> b<a)")
 
 
+X, Y, Z = (Atom(Var(v), "<", Var("w")) for v in "xyz")
+_BINARY = {"&": And, "|": Or, "->": Implies, "<->": Iff}
+# whether  x op1 y op2 z  groups as (x op1 y) op2 z, else as x op1 (y op2 z)
+_GROUPS_LEFT = {
+    ("&", "&"): True, ("&", "|"): True, ("&", "->"): True, ("&", "<->"): True,
+    ("|", "&"): False, ("|", "|"): True, ("|", "->"): True, ("|", "<->"): True,
+    ("->", "&"): False, ("->", "|"): False, ("->", "->"): False, ("->", "<->"): True,
+    ("<->", "&"): False, ("<->", "|"): False, ("<->", "->"): False,
+    ("<->", "<->"): False,
+}
+
+
+@pytest.mark.parametrize("ops", sorted(_GROUPS_LEFT), ids=" ".join)
+def test_parse_table_binary_pairs(ops):
+    op1, op2 = ops
+    c1, c2 = _BINARY[op1], _BINARY[op2]
+    expected = c2(c1(X, Y), Z) if _GROUPS_LEFT[ops] else c1(X, c2(Y, Z))
+    assert parse(f"x < w {op1} y < w {op2} z < w") == expected
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY))
+def test_parse_table_negation_and_quantifier_bodies(op):
+    c = _BINARY[op]
+    assert parse(f"~x < w {op} y < w") == c(Not(X), Y)
+    assert parse(f"x < w {op} ~y < w") == c(X, Not(Y))
+    assert parse(f"exists u. x < w {op} y < w") == Exists("u", c(X, Y))
+    assert parse(f"x < w {op} forall u. y < w & z < w") == c(X, Forall("u", And(Y, Z)))
+    assert parse(f"(exists u. x < w) {op} y < w") == c(Exists("u", X), Y)
+    assert parse(f"~exists u. x < w {op} y < w") == Not(Exists("u", c(X, Y)))
+
+
 def test_quantifier_body_extends_right():
     f = parse("exists u. u < a & u < b")
     assert f == Exists("u", parse("u < a & u < b"))

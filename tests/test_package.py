@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,17 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in randcl.__all__:
         obj = getattr(randcl, name)
         assert not inspect.ismodule(obj), name
+
+
+def test_no_unbounded_memo():
+    # a long-lived process (a fuzz run, a library user's loop) must keep
+    # flat memory, so every memo has a size bound
+    unbounded = re.compile(
+        r"lru_cache\(\s*(maxsize\s*=\s*)?None\b|@(functools\.)?cache\b"
+    )
+    package = Path(randcl.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert not unbounded.search(path.read_text()), path.name
 
 
 def _run(args: list[str]) -> subprocess.CompletedProcess:

@@ -18,6 +18,7 @@ from randcl import (
     Randomization,
     Var,
     complement,
+    definable_closure,
     differs,
     elem_dist,
     eval_event,
@@ -92,6 +93,22 @@ def test_bad_signature_raises_before_unbound_variable(coin):
         eval_event(coin, f, {})
     with pytest.raises(ValueError, match="not in FiniteEnum"):
         witness(coin, f, "x")
+
+
+_FOREIGN_USES = {
+    "closure parameter": lambda r, x: definable_closure(r, ["a", x]),
+    "eval_event binding": lambda r, x: eval_event(r, parse("a < x"), {"a": "a", "x": x}),
+    "witness binding": lambda r, x: witness(r, parse("u < x"), "u", {"x": x}),
+}
+
+
+@pytest.mark.parametrize("use", sorted(_FOREIGN_USES))
+def test_element_of_another_space_is_rejected(swap_pair, use):
+    # same theory and atom names, different weights
+    other = partition([("w1", "1/3"), ("w2", "2/3")])
+    foreign = RandomElement(DLO, other, (0, 1))
+    with pytest.raises(ValueError, match="different space"):
+        _FOREIGN_USES[use](swap_pair, foreign)
 
 
 def test_eval_event_enum(coin):

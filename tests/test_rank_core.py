@@ -36,7 +36,7 @@ from randcl import (
 )
 from randcl import closure
 from randcl.checks import corpus, perturb_element, random_instance, sample_params
-from randcl.closure import _closure_member, _if_less_closure_naive, _resolve_params
+from randcl.closure import _if_less_closure_naive, _resolve_params
 from randcl.theory import type_key
 
 CORPUS_SEED = 20260817  # the acceptance corpus
@@ -210,8 +210,9 @@ def test_membership_matches_enumeration_on_acceptance_corpus(acceptance_corpus):
     for r, params in acceptance_corpus:
         elems = _resolve_params(r, params)
         inside = set(_reference_closure(r, params))
+        top = r.partition.top()
         for b in _probes(rng, r, elems):
-            assert _closure_member(r, b, elems) == (b.values in inside)
+            assert fo_definable_on(r, b, top, elems) == (b.values in inside)
 
 
 def test_isdef_does_not_enumerate_the_closure(monkeypatch):

@@ -14,6 +14,7 @@ from randcl import (
     Falsity,
     Forall,
     Implies,
+    Not,
     Truth,
     Var,
     finite_enum,
@@ -77,6 +78,16 @@ def test_qe_needs_no_normal_form():
     for i in range(2, 40):
         body = And(body, parse(f"a{i} < u | u < b{i}"))
     assert qe(Exists("u", body)) == Truth()
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_qe_probes_above_every_term(k):
+    # u above every term satisfies the body; at the other test points each
+    # disjunct splits, and the output had 2639 nodes for k = 12
+    body = " & ".join(f"(x{2 * i} < u | u < x{2 * i + 1})" for i in range(k))
+    f = parse(f"{body} & t < u")
+    assert qe(Exists("u", f)) == Truth()
+    assert qe(Forall("u", Not(f))) == Falsity()
 
 
 def test_qe_cache_is_bounded():
