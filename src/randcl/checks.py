@@ -37,7 +37,7 @@ from .formula import (
     Implies,
     Not,
     Or,
-    Record,
+    MutableRecord,
     Signature,
     Var,
     DLO,
@@ -173,20 +173,15 @@ def sample_params(rng: random.Random, r: Randomization) -> list[str]:
 # the per-instance check suite
 # ---------------------------------------------------------------------------
 
-class CheckResult:
-    """One check's outcome; compared by its fields, unhashable."""
+class CheckResult(MutableRecord):
+    """One check's outcome."""
 
     __slots__ = ("name", "passed", "detail")
-    __eq__, __repr__ = Record.__eq__, Record.__repr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
         self.name = name
         self.passed = passed
         self.detail = detail
-
-    def _fields(self) -> tuple:
-        return (self.name, self.passed, self.detail)
 
 
 def _values(elems) -> list:
@@ -224,9 +219,31 @@ def _check_evaluation_routes(results, r, rng) -> None:
     _check(results, "evaluation-routes", ok, detail)
 
 
+def _constants(r: Randomization) -> tuple[RandomElement, RandomElement]:
+    """The all-0 and the all-1 element of r's space."""
+    one = Fraction(1) if r.sig.is_dlo else 1
+    size = r.partition.size
+    return (
+        RandomElement(r.sig, r.partition, (0,) * size),
+        RandomElement(r.sig, r.partition, (one,) * size),
+    )
+
+
+def _pool(r: Randomization) -> dict[str, RandomElement]:
+    """The named elements, joined by the two constants of _constants when
+    there are fewer than two, so every check has two elements to draw."""
+    pool = dict(r.elements)
+    if len(pool) < 2:
+        for name, e in zip(("lo", "hi"), _constants(r)):
+            while name in pool:
+                name += "'"
+            pool[name] = e
+    return pool
+
+
 def _check_event_homomorphism(results, r, rng) -> None:
-    names = tuple(r.elements)
-    binding = {n: n for n in names}
+    binding = _pool(r)
+    names = tuple(binding)
     ok, detail = True, ""
     for _ in range(4):
         f = random_formula(rng, r.sig, names, quantifiers=rng.randint(0, 1))
@@ -247,13 +264,10 @@ def _check_event_homomorphism(results, r, rng) -> None:
 
 
 def _check_metrics(results, r, rng) -> None:
-    elems = list(r.elements.values())
+    pool = _pool(r)
+    elems = list(pool.values())
     events = [
-        eval_event(
-            r,
-            random_formula(rng, r.sig, tuple(r.elements), quantifiers=0),
-            {n: n for n in r.elements},
-        )
+        eval_event(r, random_formula(rng, r.sig, tuple(pool), quantifiers=0), pool)
         for _ in range(3)
     ] + [r.partition.top(), r.partition.bottom()]
     ok, detail = True, ""
@@ -280,7 +294,7 @@ def _check_metrics(results, r, rng) -> None:
 
 
 def _check_glue(results, r, rng) -> None:
-    elems = list(r.elements.values())
+    elems = list(_pool(r).values())
     a = elems[rng.randrange(len(elems))]
     b = elems[rng.randrange(len(elems))]
     members = frozenset(
@@ -291,12 +305,10 @@ def _check_glue(results, r, rng) -> None:
     ok = e.members.isdisjoint(differs(c, a).members)
     ok = ok and (~e).members <= (~differs(c, b)).members
     # characteristic elements: a nowhere-agreeing pair recovers any event
-    lo = RandomElement(r.sig, r.partition, (0,) * r.partition.size)
-    hi_val = 1 if not r.sig.is_dlo else Fraction(1)
-    hi = RandomElement(r.sig, r.partition, (hi_val,) * r.partition.size)
+    lo, hi = _constants(r)
     ind = indicator(e, hi, lo)
     recovered = frozenset(
-        i for i, v in enumerate(ind.values) if v == hi_val
+        i for i, (v, w) in enumerate(zip(ind.values, hi.values)) if v == w
     )
     ok = ok and recovered == e.members
     _check(results, "glue-characteristic", ok, f"glue failed on {e}")
@@ -363,8 +375,8 @@ def _check_closure_routes(results, r, rng) -> None:
 
 
 def _definability_samples(rng, r, A: list[str]) -> list[RandomElement]:
-    picks = [r.element(n) for n in rng.sample(list(r.elements), 2)]
-    if r.sig.is_dlo and len(picks) >= 2:
+    picks = rng.sample(list(_pool(r).values()), 2)
+    if r.sig.is_dlo:
         picks.append(pointwise_max(picks[0], picks[1]))
         picks.append(pointwise_min(picks[0], picks[1]))
     alg = fo_event_algebra(r, A)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .formula import Exists, Formula, Record
+from .formula import Exists, Formula, MutableRecord
 from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
@@ -279,12 +279,14 @@ def _group_restrictions(
     elems: Sequence[RandomElement],
     groups: Sequence[tuple[int, ...]],
 ) -> list[list[tuple[Value, ...]]]:
-    """For each type group, the restrictions to it that a closure member
-    can take, in increasing order of value.
+    """For each group of atoms, the restrictions to it that a closure
+    member can take, in increasing order of value.  A group lies inside
+    one type group: a whole one, or a single atom.
 
     DLO: the parameters' restrictions; all atoms of a group share the
     parameters' ranks, so the one of rank k is the kth.  Enumerated
-    domain: the constant ones.
+    domain: the constant ones.  _assemble turns a choice of one
+    restriction per group into the element.
     """
     if not r.sig.is_dlo:
         assert r.sig.n is not None
@@ -301,35 +303,20 @@ def _group_restrictions(
     return out
 
 
-def _values_by_rank(
-    r: Randomization, elems: Sequence[RandomElement]
-) -> list[list[Value]]:
-    """On each atom, the parameters' distinct values in increasing order:
-    entry k is the value of rank k in randvar._type_rows (DLO only)."""
-    out = []
-    for i, row in enumerate(_type_rows(r, tuple(elems))):
-        vals: list[Value] = [0] * (max(row) + 1)
-        for e, k in zip(elems, row):
-            vals[k] = e.values[i]
-        out.append(vals)
-    return out
-
-
 def _assemble(
     r: Randomization,
     groups: Sequence[tuple[int, ...]],
     combos: Iterable[Sequence[tuple[Value, ...]]],
-) -> list[RandomElement]:
-    """The elements taking, on each group, the restriction a combo gives."""
-    out = []
+) -> Iterator[RandomElement]:
+    """The elements taking, on each group, the restriction a combo gives,
+    one combo at a time."""
     size = r.partition.size
     for combo in combos:
         vec: list[Value] = [0] * size
         for g, restriction in zip(groups, combo):
             for pos, val in zip(g, restriction):
                 vec[pos] = val
-        out.append(RandomElement._trusted(r.sig, r.partition, tuple(vec)))
-    return out
+        yield RandomElement._trusted(r.sig, r.partition, tuple(vec))
 
 
 def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -349,7 +336,7 @@ def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]
         return []
     groups = _group_indices(r, elems)
     per_group = _group_restrictions(r, elems, groups)
-    return _assemble(r, groups, itertools.product(*per_group))
+    return list(_assemble(r, groups, itertools.product(*per_group)))
 
 
 def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -357,24 +344,25 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
     parameters; enumerated independently of definable_closure by filtering
     a sound candidate pool through fo_definable_on.
 
+    The pool: under DLO every value some parameter takes, on each atom on
+    its own; under an enumerated domain every constant on each type group.
     Each pool is in increasing order, so the candidates, and with them the
     output, come in lexicographic order.
     """
     elems = _resolve_params(r, params)
-    top = r.partition.top()
-    candidates: Iterable[RandomElement]
-    if r.sig.is_dlo:
-        if not elems:
-            return []
-        candidates = (
-            RandomElement._trusted(r.sig, r.partition, vec)
-            for vec in itertools.product(*_values_by_rank(r, elems))
-        )
-    else:
+    if not r.sig.is_dlo:
         groups = _group_indices(r, elems)
-        per_group = _group_restrictions(r, elems, groups)
-        candidates = _assemble(r, groups, itertools.product(*per_group))
-    return [b for b in candidates if fo_definable_on(r, b, top, elems)]
+    elif elems:
+        groups = [(i,) for i in range(r.partition.size)]
+    else:
+        return []
+    per_group = _group_restrictions(r, elems, groups)
+    top = r.partition.top()
+    return [
+        b
+        for b in _assemble(r, groups, itertools.product(*per_group))
+        if fo_definable_on(r, b, top, elems)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +397,10 @@ def _if_less_closure_naive(r: Randomization, params: ParamSet) -> list[RandomEle
                     added = True
         if not added:
             break
-    by_rank = _values_by_rank(r, elems)
-    return [
-        RandomElement._trusted(
-            r.sig, r.partition, tuple(vals[k] for vals, k in zip(by_rank, ranks))
-        )
-        for ranks in sorted(current)
-    ]
+    atoms = [(i,) for i in range(r.partition.size)]
+    per_atom = _group_restrictions(r, elems, atoms)
+    combos = ([per_atom[i][k] for i, k in enumerate(z)] for z in sorted(current))
+    return list(_assemble(r, atoms, combos))
 
 
 def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -484,30 +469,22 @@ def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
         choices.append(ranks)
     choices.sort()
     per_group = _group_restrictions(r, elems, groups)
-    return _assemble(
-        r,
-        groups,
-        ([per_group[d][k] for d, k in enumerate(ranks)] for ranks in choices),
-    )
+    combos = ([per_group[d][k] for d, k in enumerate(ranks)] for ranks in choices)
+    return list(_assemble(r, groups, combos))
 
 
 # ---------------------------------------------------------------------------
 # combined report
 # ---------------------------------------------------------------------------
 
-class DefinabilityReport:
-    """The verdict and each decider's answer; compared by both, unhashable."""
+class DefinabilityReport(MutableRecord):
+    """The verdict and each decider's answer."""
 
     __slots__ = ("verdict", "paths")
-    __eq__, __repr__ = Record.__eq__, Record.__repr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, verdict: bool, paths: dict[str, bool]):
         self.verdict = verdict
         self.paths = paths
-
-    def _fields(self) -> tuple:
-        return (self.verdict, self.paths)
 
     @property
     def agree(self) -> bool:

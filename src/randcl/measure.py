@@ -53,9 +53,6 @@ class Partition(Record):
         _set(self, "_denom", denom)
         _set(self, "_nums", nums)
 
-    def _fields(self) -> tuple:
-        return (self.atoms,)
-
     @property
     def size(self) -> int:
         return len(self.atoms)
@@ -99,9 +96,6 @@ class Event(Record):
                 raise ValueError(f"atom index {i!r} out of range")
         _set(self, "partition", partition)
         _set(self, "members", members)
-
-    def _fields(self) -> tuple:
-        return (self.partition, self.members)
 
     @property
     def prob(self) -> Fraction:
@@ -179,9 +173,6 @@ class EventAlgebra(Record):
         if covered != set(range(part.size)):
             raise ValueError("algebra atoms must cover everything")
         _set(self, "atoms", tuple(sorted(atoms, key=lambda e: min(e.members))))
-
-    def _fields(self) -> tuple:
-        return (self.atoms,)
 
     @property
     def partition(self) -> Partition:

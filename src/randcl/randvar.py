@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from .formula import (
     Exists,
     Formula,
+    MutableRecord,
     Record,
     Signature,
 )
@@ -61,24 +63,17 @@ class RandomElement(Record):
         _set(e, "values", values)
         return e
 
-    def _fields(self) -> tuple:
-        return (self.sig, self.partition, self.values)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-class Randomization:
+class Randomization(MutableRecord):
     """A theory, a weighted partition, and named random elements.
 
-    A mutable record: compared by sig, partition and elements, and
-    unhashable.  _last_type_rows is _type_rows's cache, left out of ==
-    and repr.
+    _last_type_rows is _type_rows's cache, left out of == and repr.
     """
 
     __slots__ = ("sig", "partition", "elements", "_last_type_rows")
-    __eq__, __repr__ = Record.__eq__, Record.__repr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -93,9 +88,6 @@ class Randomization:
         for name, e in self.elements.items():
             if e.sig != sig or e.partition != partition:
                 raise ValueError(f"element {name!r} built for a different space")
-
-    def _fields(self) -> tuple:
-        return (self.sig, self.partition, self.elements)
 
     @classmethod
     def build(
@@ -152,6 +144,27 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     return rows
 
 
+def _per_type(
+    r: Randomization, bound: dict[str, RandomElement], decide: Callable
+) -> list:
+    """decide's answer on each atom, in atom order.
+
+    What a formula says about the bound elements on an atom depends only
+    on the type of their value tuple there (theory.type_key), so decide is
+    called once per distinct type, on the type key itself, given as the
+    assignment of each bound variable to its entry.
+    """
+    names = tuple(bound)
+    answers: dict[tuple, object] = {}
+    out = []
+    for key in _type_rows(r, tuple(bound.values())):
+        got = answers.get(key)
+        if got is None:
+            got = answers[key] = decide(dict(zip(names, key)))
+        out.append(got)
+    return out
+
+
 def eval_event(
     r: Randomization,
     f: Formula,
@@ -159,24 +172,15 @@ def eval_event(
 ) -> Event:
     """The event on which f holds, with variables bound to elements.
 
-    The truth of f on an atom depends only on the type of the bound value
-    tuple there (theory.type_key), so f is decided once per distinct type,
-    on the type key itself, by eval_qf on qe(f) in either theory.  A
-    symbol outside the signature raises before an unbound variable does.
+    f is decided once per type of the bound values (see _per_type), by
+    eval_qf on qe(f) in either theory.  A symbol outside the signature
+    raises before an unbound variable does.
     """
     decide = partial(eval_qf, qe(f, r.sig))
     bound = {v: _resolve(r, p) for v, p in binding.items()}
     _check_assignment(f, bound)
-    names = tuple(bound)
-    verdicts: dict[tuple, bool] = {}
-    members = []
-    for i, key in enumerate(_type_rows(r, tuple(bound.values()))):
-        holds = verdicts.get(key)
-        if holds is None:
-            holds = verdicts[key] = decide(dict(zip(names, key)))
-        if holds:
-            members.append(i)
-    return Event(r.partition, frozenset(members))
+    holds = _per_type(r, bound, decide)
+    return Event(r.partition, frozenset(compress(range(len(holds)), holds)))
 
 
 def differs(a: RandomElement, b: RandomElement) -> Event:
@@ -282,20 +286,16 @@ def witness(
     _check_assignment(Exists(u, theta), bound)  # u itself needs no binding
     params = {var: e for var, e in bound.items() if var != u}
     if r.sig.is_dlo:
-        rule = _dlo_rule
+        rule = partial(_dlo_rule, g, u)
     else:
         assert r.sig.n is not None
-        rule = partial(_enum_rule, r.sig.n)
-    names = tuple(params)
+        rule = partial(_enum_rule, r.sig.n, g, u)
     columns = [e.values for e in params.values()]
-    rules: dict[tuple, Callable[[list[Value]], Value]] = {}
-    values = []
-    for i, key in enumerate(_type_rows(r, tuple(params.values()))):
-        choose = rules.get(key)
-        if choose is None:
-            choose = rules[key] = rule(g, u, dict(zip(names, key)))
-        values.append(choose([col[i] for col in columns]))
-    return RandomElement(r.sig, r.partition, tuple(values))
+    values = tuple(
+        choose([col[i] for col in columns])
+        for i, choose in enumerate(_per_type(r, params, rule))
+    )
+    return RandomElement(r.sig, r.partition, values)
 
 
 def _enum_rule(

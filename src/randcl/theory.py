@@ -403,14 +403,9 @@ def isolating_vars(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
-# a few entries: one can hold ordered-Bell(n) formulas
-_ISOLATING_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_ISOLATING_CACHE_SIZE)
-def _isolating_dlo(n: int) -> tuple[Formula, ...]:
+def _isolating_dlo(n: int) -> list[Formula]:
     if n == 0:
-        return (TRUE,)
+        return [TRUE]
     out: list[Formula] = []
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product("<=", repeat=n - 1):
@@ -429,11 +424,10 @@ def _isolating_dlo(n: int) -> tuple[Formula, ...]:
                 for i in range(n - 1)
             ]
             out.append(conj_all(chain))
-    return tuple(out)
+    return out
 
 
-@lru_cache(maxsize=_ISOLATING_CACHE_SIZE)
-def _isolating_enum(n_vars: int, domain: int) -> tuple[Formula, ...]:
+def _isolating_enum(n_vars: int, domain: int) -> list[Formula]:
     out = []
     for combo in itertools.product(range(domain), repeat=n_vars):
         out.append(
@@ -441,7 +435,7 @@ def _isolating_enum(n_vars: int, domain: int) -> tuple[Formula, ...]:
                 Atom(Var(f"v{i + 1}"), "=", Const(c)) for i, c in enumerate(combo)
             )
         )
-    return tuple(out)
+    return out
 
 
 def isolating_formulas(sig: Signature, n: int) -> list[Formula]:
@@ -454,9 +448,9 @@ def isolating_formulas(sig: Signature, n: int) -> list[Formula]:
     if n < 0:
         raise ValueError("need n >= 0")
     if sig.is_dlo:
-        return list(_isolating_dlo(n))
+        return _isolating_dlo(n)
     assert sig.n is not None
-    return list(_isolating_enum(n, sig.n))
+    return _isolating_enum(n, sig.n)
 
 
 def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:

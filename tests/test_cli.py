@@ -165,6 +165,33 @@ def test_check(capsys):
     assert "FAIL" not in out
 
 
+SMALL_FILES = {
+    "dlo": ({}, {"a": ["1", "0"]}),
+    "enum(2)": ({}, {"a": [1, 0]}),
+}
+
+
+@pytest.mark.parametrize("theory", sorted(SMALL_FILES))
+@pytest.mark.parametrize("n_elements", [0, 1])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_check_on_fewer_than_two_elements(capsys, tmp_path, theory, n_elements, fmt):
+    # the checks that draw two elements fall back on the constant ones
+    p = tmp_path / "small.json"
+    p.write_text(json.dumps({
+        "theory": theory,
+        "atoms": [["w1", "1/2"], ["w2", "1/2"]],
+        "elements": SMALL_FILES[theory][n_elements],
+    }))
+    code, out = run(capsys, "--format", fmt, "check", str(p))
+    assert code == 0
+    if fmt == "structured":
+        payload = json.loads(out)
+        assert payload["passed"] == payload["total"] >= 10
+    else:
+        assert "FAIL" not in out
+        assert out.endswith("checks passed\n")
+
+
 def test_fuzz_deterministic(capsys):
     code1, out1 = run(capsys, "fuzz", "--count", "5", "--seed", "11")
     code2, out2 = run(capsys, "fuzz", "--count", "5", "--seed", "11")

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import argparse
+import ast
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import randcl
+from randcl.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SWAP = str(ROOT / "samples" / "swap_pair.json")
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -53,3 +63,68 @@ def test_cli_help_exits_zero():
     proc = _run(["-m", "randcl.cli", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: randcl")
+
+
+def _tracer_spans() -> dict[str, str]:
+    """perfbench/tracer.py's SPANS table, read from its source (nothing
+    is imported or executed)."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no SPANS")
+
+
+def test_every_traced_function_name_is_still_defined():
+    # the tracer wraps module bindings by function name, so a renamed or
+    # deleted function would silently read 0 in its per-layer metric
+    defined = set()
+    for info in pkgutil.iter_modules(randcl.__path__):
+        mod = importlib.import_module(f"randcl.{info.name}")
+        for obj in vars(mod).values():
+            if callable(obj) and not isinstance(obj, type) and getattr(
+                obj, "__module__", ""
+            ).startswith("randcl"):
+                defined.add(obj.__name__)
+    spans = _tracer_spans()
+    assert len(spans) > 20
+    assert sorted(set(spans) - defined) == []
+
+
+REQUESTS = {
+    "eval": ["eval", SWAP, "a < b"],
+    "dclb": ["dclb", SWAP, "a", "b"],
+    "dcl": ["dcl", SWAP, "a", "b"],
+    "lcl": ["lcl", SWAP, "a", "b"],
+    "isdef": ["isdef", SWAP, "hi", "a", "b"],
+    "pointwise": ["pointwise", SWAP, "hi", "a", "b"],
+    "dist": ["dist", SWAP, "a", "b"],
+    "glue": ["glue", SWAP, "a", "b", "w1"],
+    "witness": ["witness", SWAP, "a < u & u < b", "u"],
+    "check": ["check", SWAP],
+    "fuzz": ["fuzz", "--count", "2", "--seed", "1"],
+}
+
+
+def test_requests_cover_every_subcommand():
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(sub.choices) == sorted(REQUESTS)
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_no_request_enumerates_the_isolating_formulas(command, capsys, monkeypatch):
+    # isolating_formulas is a test oracle: every request evaluates only
+    # the isolating formulas of realized types, one at a time
+    def refuse(*args):
+        raise AssertionError("isolating_formulas called")
+
+    for mod in (randcl, randcl.theory):
+        monkeypatch.setattr(mod, "isolating_formulas", refuse)
+    code = main(REQUESTS[command])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out

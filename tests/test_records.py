@@ -10,7 +10,9 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,9 @@ from randcl import (
     partition,
     to_text,
 )
+import randcl
 from randcl.checks import CheckResult, random_formula
+from randcl.formula import Record
 
 HALVES = "Partition(atoms=(('w1', Fraction(1, 2)), ('w2', Fraction(1, 2))))"
 DLO_REPR = "Signature(kind='DLO', n=None)"
@@ -271,3 +275,61 @@ def test_separately_built_trees(seed, other, sig, quantifiers):
     if f == h:
         assert hash(f) == hash(h)
     assert parse(to_text(f), sig) == f
+
+
+# ---------------------------------------------------------------------------
+# the field list, derived from __slots__
+# ---------------------------------------------------------------------------
+
+class Point(Record):
+    """Declared with slots and __init__ only; _cache is derived state."""
+
+    __slots__ = ("x", "y", "_cache")
+
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_cache", object())
+
+
+class Labelled(Point):
+    __slots__ = ("label",)
+
+    def __init__(self, x, y, label):
+        super().__init__(x, y)
+        object.__setattr__(self, "label", label)
+
+
+def test_a_declared_record_works_from_its_public_slots():
+    p, q = Point(1, "a"), Point(1, "a")
+    assert Point._field_names == ("x", "y")
+    assert p == q and hash(p) == hash(q)
+    assert p != Point(2, "a") and p != Point(1, "b")
+    assert repr(p) == "Point(x=1, y='a')"
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert copy.deepcopy(p) == p
+    with pytest.raises(AttributeError):
+        p.x = 2
+
+
+def test_a_subclass_appends_its_slots_to_the_field_list():
+    a = Labelled(1, 2, "z")
+    assert Labelled._field_names == ("x", "y", "label")
+    assert a._fields() == (1, 2, "z")
+    assert repr(a) == "Labelled(x=1, y=2, label='z')"
+    assert a == Labelled(1, 2, "z") != Labelled(1, 2, "w")
+    assert a != Point(1, 2)  # the class is part of equality
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_single_field_and_fieldless_records_give_tuples():
+    assert Var("a")._fields() == ("a",)
+    assert Truth()._fields() == ()
+    assert DLO._fields() == ("DLO", None)
+
+
+def test_no_module_writes_its_field_list_by_hand():
+    package = Path(randcl.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert not re.search(r"def _fields\b", path.read_text()), path.name
