@@ -36,9 +36,11 @@ from .closure import (
 )
 from .formula import free_vars, parse
 from .measure import Event, event_dist
-from .randfile import _values_payload, load, to_payload
+from .randfile import _values_payloads, load, to_payload
 from .randvar import (
+    RandomElement,
     Randomization,
+    _element_texts,
     elem_dist,
     eval_event,
     glue,
@@ -63,11 +65,18 @@ def _event_payload(e: Event) -> list[str]:
 
 
 def _emit_event(args, ev: Event) -> None:
-    _emit(
-        args,
-        [f"{ev}, probability = {ev.prob}"],
-        {"event": _event_payload(ev), "probability": str(ev.prob)},
-    )
+    # the payload lists every member atom: build it only when it is printed
+    if args.format == "structured":
+        _emit(args, [], {"event": _event_payload(ev), "probability": str(ev.prob)})
+    else:
+        _emit(args, [f"{ev}, probability = {ev.prob}"], {})
+
+
+def _emit_element(args, e: RandomElement) -> None:
+    if args.format == "structured":
+        _emit(args, [], {"values": _values_payloads([e])[0]})
+    else:
+        _emit(args, [str(e)], {})
 
 
 def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
@@ -85,11 +94,12 @@ def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
         names.append(next((n for v, n in bucket if v == e.values), None))
     if args.format == "structured":
         payload = [
-            {"name": n, "values": _values_payload(e)} for n, e in zip(names, elems)
+            {"name": n, "values": v} for n, v in zip(names, _values_payloads(elems))
         ]
         return [], {"count": len(elems), "elements": payload}
     lines = [f"{len(elems)} elements:"]
-    lines += [f"  {n} = {e}" if n else f"  {e}" for n, e in zip(names, elems)]
+    texts = _element_texts(elems)
+    lines += [f"  {n} = {t}" if n else f"  {t}" for n, t in zip(names, texts)]
     return lines, {}
 
 
@@ -123,8 +133,11 @@ def _cmd_eval(args) -> int:
 def _cmd_dclb(args) -> int:
     r = load(args.file)
     alg = fo_event_algebra(r, args.params)
-    text = f"{len(alg.atoms)} atoms: " + ", ".join(str(e) for e in alg.atoms)
-    _emit(args, [text], {"atoms": [_event_payload(e) for e in alg.atoms]})
+    if args.format == "structured":
+        _emit(args, [], {"atoms": [_event_payload(e) for e in alg.atoms]})
+    else:
+        text = f"{len(alg.atoms)} atoms: " + ", ".join(str(e) for e in alg.atoms)
+        _emit(args, [text], {})
     return 0
 
 
@@ -172,7 +185,7 @@ def _cmd_dist(args) -> int:
 def _cmd_glue(args) -> int:
     r = load(args.file)
     c = glue(r.element(args.a), r.element(args.b), _parse_event(r, args.event))
-    _emit(args, [str(c)], {"values": _values_payload(c)})
+    _emit_element(args, c)
     return 0
 
 
@@ -180,7 +193,7 @@ def _cmd_witness(args) -> int:
     r = load(args.file)
     theta = parse(args.formula, r.sig)
     w = witness(r, theta, args.var, _identity_binding(theta, skip=(args.var,)))
-    _emit(args, [str(w)], {"values": _values_payload(w)})
+    _emit_element(args, w)
     return 0
 
 

@@ -21,6 +21,8 @@ from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
     Randomization,
+    _int_columns,
+    _key_map,
     _resolve,
     _type_rows,
     differs,
@@ -28,7 +30,6 @@ from .randvar import (
 )
 from .theory import (
     Value,
-    definable_in_model,
     isolating_formula,
     isolating_vars,
 )
@@ -120,14 +121,11 @@ def pointwise_definable_event(
     values inside the fiber model."""
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    members = frozenset(
-        i
-        for i in range(r.partition.size)
-        if definable_in_model(
-            r.sig, b.values[i], tuple(e.values[i] for e in elems)
-        )
-    )
-    return Event(r.partition, members)
+    if not r.sig.is_dlo:
+        return r.partition.top()  # constants name every point
+    # some parameter pins the value exactly where its place is even
+    pinned = [p % 2 == 0 for p in _places(r, elems, b)]
+    return Event(r.partition, itertools.compress(range(len(pinned)), pinned))
 
 
 def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
@@ -151,20 +149,15 @@ def _places(
     """
     if not r.sig.is_dlo:
         return list(b.values)
-    columns = [e.values for e in elems]
-    out = []
-    for i, (row, v) in enumerate(zip(_type_rows(r, tuple(elems)), b.values)):
-        place = -1
-        for col, k in zip(columns, row):
-            w = col[i]
-            # decoded closure members share the parameters' value objects
-            if w is v or w == v:
-                place = 2 * k
-                break
-            if 2 * k + 1 > place and w < v:
-                place = 2 * k + 1
-        out.append(place)
-    return out
+    return list(map(_place, zip(*_int_columns(r.sig, (*elems, b)))))
+
+
+def _place(row: tuple[int, ...]) -> int:
+    """_places's entry for one atom, given the parameters' values there
+    and then the element's, as ints that compare as the values do."""
+    params, v = row[:-1], row[-1]
+    k = len(set(filter(v.__gt__, params)))  # v's rank among the parameters
+    return 2 * k if v in params else 2 * k - 1
 
 
 def fo_definable_on(
@@ -298,7 +291,7 @@ def _group_restrictions(
         for e, k in zip(elems, rows[g[0]]):
             of_rank.setdefault(k, e)
         out.append(
-            [tuple(of_rank[k].values[i] for i in g) for k in range(len(of_rank))]
+            [tuple(map(of_rank[k].values.__getitem__, g)) for k in range(len(of_rank))]
         )
     return out
 
@@ -307,16 +300,26 @@ def _assemble(
     r: Randomization,
     groups: Sequence[tuple[int, ...]],
     combos: Iterable[Sequence[tuple[Value, ...]]],
+    keys_from: Sequence[RandomElement] = (),
 ) -> Iterator[RandomElement]:
     """The elements taking, on each group, the restriction a combo gives,
-    one combo at a time."""
-    size = r.partition.size
+    one combo at a time.
+
+    The restrictions hold the value objects of the elements keys_from, if
+    given; each element built then reads its integer keys off theirs
+    (randvar._exact_keys) instead of working them out again.
+    """
+    # the groups partition the atoms: each atom's index in a combo's
+    # restrictions laid end to end
+    at = [0] * r.partition.size
+    for k, pos in enumerate(itertools.chain.from_iterable(groups)):
+        at[pos] = k
+    key_of = _key_map(r.sig, keys_from) if keys_from else None
     for combo in combos:
-        vec: list[Value] = [0] * size
-        for g, restriction in zip(groups, combo):
-            for pos, val in zip(g, restriction):
-                vec[pos] = val
-        yield RandomElement._trusted(r.sig, r.partition, tuple(vec))
+        flat = tuple(itertools.chain.from_iterable(combo))
+        values = tuple(map(flat.__getitem__, at))
+        keys = None if key_of is None else list(map(key_of.__getitem__, map(id, values)))
+        yield RandomElement._trusted(r.sig, r.partition, values, keys)
 
 
 def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -360,7 +363,7 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
     top = r.partition.top()
     return [
         b
-        for b in _assemble(r, groups, itertools.product(*per_group))
+        for b in _assemble(r, groups, itertools.product(*per_group), elems)
         if fo_definable_on(r, b, top, elems)
     ]
 

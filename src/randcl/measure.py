@@ -32,22 +32,28 @@ class Partition(Record):
     __slots__ = ("atoms", "_index", "_denom", "_nums")
 
     def __init__(self, atoms: Iterable[tuple[str, Fraction | int | str]]):
-        atoms = tuple(
-            (str(n), w if type(w) is Fraction else as_fraction(w))
-            for n, w in atoms
-        )
-        index = {n: i for i, (n, _) in enumerate(atoms)}
-        if len(index) != len(atoms):
+        # checked over whole columns at once; a failing check scans the
+        # atoms in order, so the first bad one is the one named
+        atoms = tuple(atoms)
+        names, weights = zip(*atoms, strict=True) if atoms else ((), ())
+        if set(map(type, names)) != {str} or set(map(type, weights)) != {Fraction}:
+            names = tuple(map(str, names))
+            weights = tuple(
+                w if type(w) is Fraction else as_fraction(w) for w in weights
+            )
+        atoms = tuple(zip(names, weights))
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
             raise ValueError("duplicate atom names")
         _set(self, "atoms", atoms)
         _set(self, "_index", index)
         if not atoms:
             raise ValueError("a partition needs at least one atom")
-        for n, w in atoms:
-            if w <= 0:
-                raise ValueError(f"atom {n!r} has nonpositive weight {w}")
-        denom = math.lcm(*(w.denominator for _, w in atoms))
-        nums = tuple(w.numerator * (denom // w.denominator) for _, w in atoms)
+        denom = math.lcm(*(w.denominator for w in weights))
+        nums = tuple(w.numerator * (denom // w.denominator) for w in weights)
+        if min(nums) <= 0:
+            n, w = next((n, w) for n, w in atoms if w <= 0)
+            raise ValueError(f"atom {n!r} has nonpositive weight {w}")
         if sum(nums) != denom:
             raise ValueError(f"weights sum to {Fraction(sum(nums), denom)}")
         _set(self, "_denom", denom)
@@ -59,7 +65,7 @@ class Partition(Record):
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.atoms)
+        return tuple(self._index)  # built in atom order
 
     def weight(self, i: int) -> Fraction:
         return self.atoms[i][1]
@@ -100,7 +106,7 @@ class Event(Record):
     @property
     def prob(self) -> Fraction:
         nums = self.partition._nums
-        return Fraction(sum(nums[i] for i in self.members), self.partition._denom)
+        return Fraction(sum(map(nums.__getitem__, self.members)), self.partition._denom)
 
     def is_top(self) -> bool:
         return len(self.members) == self.partition.size

@@ -19,10 +19,11 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .formula import DLO, Signature, finite_enum
-from .measure import Partition, partition
-from .randvar import RandomElement, Randomization
+from .measure import Partition
+from .randvar import RandomElement, Randomization, _value_texts
 
 _ENUM_RE = re.compile(r"enum\((\d+)\)\Z")
 
@@ -42,6 +43,31 @@ def _theory_string(sig: Signature) -> str:
     return "dlo" if sig.is_dlo else f"enum({sig.n})"
 
 
+# Python's default limit on int <-> str conversion: past it an exact value
+# could not be printed, and building it can already take seconds
+_MAX_DIGITS = 4300
+
+
+def _fraction(text: str) -> Fraction:
+    """text as an exact Fraction.  Raises ValueError when it is not one, or
+    when its numerator or denominator could need more than _MAX_DIGITS
+    digits, which is checked before the value is built: the string's
+    length must not exceed it, or for a string with an exponent, the
+    characters before it plus the exponent's size."""
+    digits = len(text)
+    if "e" in text or "E" in text:
+        e = max(text.rfind("e"), text.rfind("E"))
+        # what follows the last e of a valid string is its exponent; int()
+        # refuses anything else, and exponents past _MAX_DIGITS digits
+        digits = e + abs(int(text[e + 1 :]))
+    if digits > _MAX_DIGITS:
+        raise ValueError(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _parse_fraction(raw: object, what: str, memo: dict[str, Fraction]) -> Fraction:
     """raw as an exact Fraction.  memo maps the strings already parsed from
     this file to their values, so a string that repeats is parsed once."""
@@ -50,15 +76,40 @@ def _parse_fraction(raw: object, what: str, memo: dict[str, Fraction]) -> Fracti
     value = memo.get(raw)
     if value is None:
         try:
-            value = memo[raw] = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
+            value = memo[raw] = _fraction(raw)
+        except ValueError:
             raise ValueError(f"bad fraction {raw!r} for {what}") from None
     return value
+
+
+def _fractions(
+    raws: Sequence, what: Callable[[int], str], memo: dict[str, Fraction]
+) -> tuple[Fraction, ...]:
+    """Each entry of raws as an exact Fraction; what(i) names entry i.
+
+    Each distinct string is parsed once and the entries map onto the parsed
+    objects, so equal entries share one value.  A bad entry raises, naming
+    the first in file order.
+    """
+    if set(map(type, raws)) <= {str}:
+        try:
+            memo.update({s: _fraction(s) for s in set(raws).difference(memo)})
+        except ValueError:
+            pass  # the scan below names the first bad entry
+        else:
+            return tuple(map(memo.__getitem__, raws))
+    return tuple(_parse_fraction(raw, what(i), memo) for i, raw in enumerate(raws))
 
 
 def _parse_atoms(raw: object, memo: dict[str, Fraction]) -> Partition:
     if not isinstance(raw, list) or not raw:
         raise ValueError("atoms must be a nonempty list of [name, weight] pairs")
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
+        names, ws = zip(*raw)
+        if set(map(type, names)) == {str}:
+            weights = _fractions(ws, lambda i: f"weight of atom {names[i]!r}", memo)
+            return Partition(zip(names, weights))
+    # some entry is malformed: scan in file order to name the first
     pairs = []
     for entry in raw:
         if (
@@ -69,7 +120,7 @@ def _parse_atoms(raw: object, memo: dict[str, Fraction]) -> Partition:
             raise ValueError(f"atom entry must be a [name, weight] pair, got {entry!r}")
         name, w = entry
         pairs.append((name, _parse_fraction(w, f"weight of atom {name!r}", memo)))
-    return partition(pairs)
+    return Partition(pairs)
 
 
 def from_payload(payload: object) -> Randomization:
@@ -91,28 +142,28 @@ def from_payload(payload: object) -> Randomization:
             raise ValueError(f"element {name!r} must be a list of values")
         if sig.is_dlo:
             what = f"value of element {name!r}"
-            elements[name] = [_parse_fraction(v, what, memo) for v in vals]
+            elements[name] = _fractions(vals, lambda i: what, memo)
+        elif set(map(type, vals)) <= {int}:
+            elements[name] = tuple(vals)
         else:
-            for v in vals:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(
-                        f"element {name!r} values must be integers, got {v!r}"
-                    )
-            elements[name] = list(vals)
+            bad = next(v for v in vals if type(v) is not int)
+            raise ValueError(f"element {name!r} values must be integers, got {bad!r}")
     return Randomization.build(sig, part, elements)
 
 
-def _values_payload(e: RandomElement) -> list:
-    """An element's values as the file stores them: fraction strings under
+def _values_payloads(elems: Sequence[RandomElement]) -> list[list]:
+    """Each element's values as the file stores them: fraction strings under
     DLO, plain integers under an enumerated domain."""
-    return [str(v) for v in e.values] if e.sig.is_dlo else list(e.values)
+    if elems and elems[0].sig.is_dlo:
+        return _value_texts([e.values for e in elems])
+    return [list(e.values) for e in elems]
 
 
 def to_payload(r: Randomization) -> dict:
     atoms = [
         [name, str(r.partition.weight(i))] for i, name in enumerate(r.partition.names)
     ]
-    elements = {name: _values_payload(e) for name, e in r.elements.items()}
+    elements = dict(zip(r.elements, _values_payloads(list(r.elements.values()))))
     return {"theory": _theory_string(r.sig), "atoms": atoms, "elements": elements}
 
 

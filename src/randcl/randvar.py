@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, Mapping, Sequence
 
 from .formula import (
@@ -22,49 +23,81 @@ from .formula import (
     Signature,
 )
 from .measure import Event, Partition, as_fraction
-from .theory import Value, _check_assignment, eval_qf, qe, type_key
+from .theory import Value, _check_assignment, eval_qf, qe
 
 _set = object.__setattr__
 
 
 class RandomElement(Record):
-    __slots__ = ("sig", "partition", "values")
+    # _keys: derived from values, filled on first use by _exact_keys
+    __slots__ = ("sig", "partition", "values", "_keys")
 
     def __init__(self, sig: Signature, partition: Partition, values: Sequence[Value]):
         if len(values) != partition.size:
             raise ValueError(
                 f"element has {len(values)} values for {partition.size} atoms"
             )
+        # checked over the whole tuple at once; only a tuple that fails is
+        # scanned value by value, so the first bad value is the one named
+        vals = tuple(values)
         if sig.is_dlo:
-            vals = tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
+            if set(map(type, vals)) != {Fraction}:
+                vals = tuple(v if type(v) is Fraction else as_fraction(v) for v in vals)
         else:
             n = sig.n
             assert n is not None
-            for v in values:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"value {v!r} out of domain 0..{n - 1}")
-                if not 0 <= v < n:
-                    raise ValueError(f"value {v} out of domain 0..{n - 1}")
-            vals = tuple(values)
+            if set(map(type, vals)) != {int} or min(vals) < 0 or max(vals) >= n:
+                for v in vals:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise ValueError(f"value {v!r} out of domain 0..{n - 1}")
+                    if not 0 <= v < n:
+                        raise ValueError(f"value {v} out of domain 0..{n - 1}")
         _set(self, "sig", sig)
         _set(self, "partition", partition)
         _set(self, "values", vals)
+        _set(self, "_keys", None)
 
     @classmethod
     def _trusted(
-        cls, sig: Signature, partition: Partition, values: tuple
+        cls,
+        sig: Signature,
+        partition: Partition,
+        values: tuple,
+        keys: list[int] | None = None,
     ) -> RandomElement:
         """An element whose values were all taken from elements of the
         same space (decoded closure members, if_less, glue), so they need
-        no checking again."""
+        no checking again; keys, when given, are its _exact_keys."""
         e = object.__new__(cls)
         _set(e, "sig", sig)
         _set(e, "partition", partition)
         _set(e, "values", values)
+        _set(e, "_keys", keys)
         return e
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
+        return "(" + ", ".join(map(str, self.values)) + ")"
+
+
+def _value_texts(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
+    """str of each value of each row; each distinct value object is
+    rendered once, however many entries hold it (the loader shares one
+    object among the entries of a repeated string)."""
+    objs: dict[int, Fraction] = {}
+    for vals in rows:
+        objs.update(zip(map(id, vals), vals))
+    text = {i: str(v) for i, v in objs.items()}
+    return [list(map(text.__getitem__, map(id, vals))) for vals in rows]
+
+
+def _element_texts(elems: Sequence[RandomElement]) -> list[str]:
+    """str of each element: DLO values through _value_texts, ints as they
+    are (str of an int costs less than the lookup)."""
+    if elems and elems[0].sig.is_dlo:
+        texts: Sequence = _value_texts([e.values for e in elems])
+    else:
+        texts = [map(str, e.values) for e in elems]
+    return ["(" + ", ".join(t) + ")" for t in texts]
 
 
 class Randomization(MutableRecord):
@@ -127,8 +160,86 @@ def _resolve(r: Randomization, p: str | RandomElement) -> RandomElement:
     return p
 
 
+# floor(v * 2**_KEY_BITS) orders values exactly while every denominator
+# is below 2**(_KEY_BITS // 2): two such values that differ, differ by more
+# than 2**-_KEY_BITS
+_KEY_BITS = 64
+
+
+def _exact_keys(e: RandomElement) -> list[int] | None:
+    """floor(v * 2**_KEY_BITS) for each of a DLO element's values, or None
+    when a denominator reaches 2**(_KEY_BITS // 2), past which these keys
+    may tie for distinct values.
+
+    Each distinct value object is read once, keyed by identity (a
+    Fraction hashes in Python code, an int in C), so entries that share an
+    object, as the loader shares them, cost one conversion.  The result
+    is kept in e._keys.
+    """
+    if e._keys is None:
+        objs = dict(zip(map(id, e.values), e.values))
+        ratios = list(map(Fraction.as_integer_ratio, objs.values()))
+        if max(map(itemgetter(1), ratios)).bit_length() > _KEY_BITS // 2:
+            _set(e, "_keys", ())
+        else:
+            key = dict(zip(objs, [(n << _KEY_BITS) // d for n, d in ratios]))
+            _set(e, "_keys", list(map(key.__getitem__, map(id, e.values))))
+    return e._keys or None
+
+
+def _key_map(sig: Signature, elems: Sequence[RandomElement]) -> dict[int, int] | None:
+    """The id of each of the elements' value objects to its key (see
+    _exact_keys); None unless they are DLO elements that all have keys."""
+    if not sig.is_dlo:
+        return None
+    columns = list(map(_exact_keys, elems))
+    if None in columns:
+        return None
+    key_of: dict[int, int] = {}
+    for e, col in zip(elems, columns):
+        key_of.update(zip(map(id, e.values), col))
+    return key_of
+
+
+def _int_columns(
+    sig: Signature, elems: Sequence[RandomElement]
+) -> list[Sequence[int]]:
+    """The elements' values as columns of ints that compare, across the
+    elements, exactly as the values do.
+
+    Under an enumerated domain, the values.  Under DLO, each element's
+    _exact_keys; or, when some denominator is too large for them, each
+    value's dense rank among the distinct values the elements take,
+    sorted on the same floored key with the values breaking ties.  Either
+    way no common denominator is formed, so the cost does not grow with
+    the number of distinct denominators.
+    """
+    if not sig.is_dlo:
+        return [e.values for e in elems]
+    columns = list(map(_exact_keys, elems))
+    if None not in columns:
+        return columns
+    objs: dict[int, Fraction] = {}
+    for e in elems:
+        objs.update(zip(map(id, e.values), e.values))
+    # in lowest terms, so equal exactly for equal values
+    ratios = list(map(Fraction.as_integer_ratio, objs.values()))
+    value = dict(zip(ratios, objs.values()))  # one object per distinct value
+    order = sorted(value, key=lambda nd: ((nd[0] << _KEY_BITS) // nd[1], value[nd]))
+    rank = dict(zip(order, range(len(order))))
+    of_id = dict(zip(objs, map(rank.__getitem__, ratios)))
+    return [list(map(of_id.__getitem__, map(id, e.values))) for e in elems]
+
+
+def _dense_ranks(t: tuple[int, ...]) -> tuple[int, ...]:
+    """theory.type_key of a DLO tuple, for values held as ints that
+    compare as they do."""
+    return tuple(map(sorted(set(t)).index, t))
+
+
 def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple]:
-    """theory.type_key of the elements' values on each atom.
+    """theory.type_key of the elements' values on each atom, computed once
+    per distinct tuple of their integer columns (see _int_columns).
 
     The deciders evaluate thousands of formulas over one element tuple, so
     r keeps the rows of the last tuple asked for (one entry; elements are
@@ -139,7 +250,10 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     cached, rows = r._last_type_rows
     if cached == elems:
         return rows
-    rows = [type_key(r.sig, vals) for vals in zip(*(e.values for e in elems))]
+    rows = list(zip(*_int_columns(r.sig, elems)))
+    if r.sig.is_dlo:
+        key = {t: _dense_ranks(t) for t in set(rows)}
+        rows = list(map(key.__getitem__, rows))
     r._last_type_rows = (elems, rows)
     return rows
 
@@ -155,14 +269,11 @@ def _per_type(
     assignment of each bound variable to its entry.
     """
     names = tuple(bound)
-    answers: dict[tuple, object] = {}
-    out = []
-    for key in _type_rows(r, tuple(bound.values())):
-        got = answers.get(key)
-        if got is None:
-            got = answers[key] = decide(dict(zip(names, key)))
-        out.append(got)
-    return out
+    rows = _type_rows(r, tuple(bound.values()))
+    answers = dict.fromkeys(rows)
+    for key in answers:
+        answers[key] = decide(dict(zip(names, key)))
+    return list(map(answers.__getitem__, rows))
 
 
 def eval_event(
@@ -186,10 +297,8 @@ def eval_event(
 def differs(a: RandomElement, b: RandomElement) -> Event:
     """The event on which a and b take different values."""
     _compatible(a, b)
-    members = frozenset(
-        i for i, (x, y) in enumerate(zip(a.values, b.values)) if x != y
-    )
-    return Event(a.partition, members)
+    xs, ys = _int_columns(a.sig, (a, b))
+    return Event(a.partition, frozenset(compress(range(len(xs)), map(ne, xs, ys))))
 
 
 def elem_dist(a: RandomElement, b: RandomElement) -> Fraction:
@@ -285,33 +394,41 @@ def witness(
     bound = {v: _resolve(r, p) for v, p in (binding or {}).items()}
     _check_assignment(Exists(u, theta), bound)  # u itself needs no binding
     params = {var: e for var, e in bound.items() if var != u}
+    columns = _int_columns(r.sig, tuple(params.values()))
     if r.sig.is_dlo:
-        rule = partial(_dlo_rule, g, u)
+        # the bound values by their ints
+        value_of: dict[int, Fraction] = {}
+        for col, e in zip(columns, params.values()):
+            value_of.update(zip(col, e.values))
+        rule = partial(_dlo_rule, g, u, value_of)
     else:
         assert r.sig.n is not None
         rule = partial(_enum_rule, r.sig.n, g, u)
-    columns = [e.values for e in params.values()]
-    values = tuple(
-        choose([col[i] for col in columns])
-        for i, choose in enumerate(_per_type(r, params, rule))
-    )
-    return RandomElement(r.sig, r.partition, values)
+    # each atom's bound values as ints; none bound means () on every atom
+    rows = list(zip(*columns)) if columns else [()] * r.partition.size
+    # an atom's ints fix its type, so its rule: each distinct row's witness
+    # is worked out once
+    value = dict(zip(rows, _per_type(r, params, rule)))
+    for row, choose in value.items():
+        value[row] = choose(row)
+    return RandomElement(r.sig, r.partition, tuple(map(value.__getitem__, rows)))
 
 
 def _enum_rule(
     n: int, g: Formula, u: str, assign: dict[str, Value]
-) -> Callable[[list[Value]], Value]:
+) -> Callable[[tuple[Value, ...]], Value]:
     """The smallest domain value satisfying g for this tuple, default 0."""
     pick = next((d for d in range(n) if eval_qf(g, {**assign, u: d})), 0)
     return lambda _: pick
 
 
 def _dlo_rule(
-    g: Formula, u: str, ranks: dict[str, int]
-) -> Callable[[list[Fraction]], Fraction]:
+    g: Formula, u: str, value_of: dict[int, Fraction], ranks: dict[str, int]
+) -> Callable[[tuple[int, ...]], Fraction]:
     """The witness rule (see witness) for one order type of the bound
-    values, given as their dense ranks: it maps an atom's bound values of
-    that type to the witness value there.
+    values, given as their dense ranks: it maps an atom's row of bound
+    values of that type, as ints (see _int_columns) that value_of turns
+    back into values, to the witness value there.
 
     The regions are decided on the ranks doubled, so that 2j + 1 lies in
     the gap above rank j, -1 below all and 2 * top + 1 above all.
@@ -333,17 +450,18 @@ def _dlo_rule(
     gaps = [j for j in range(top) if sat(2 * j + 1)]
     if gaps:
 
-        def tightest_midpoint(vals: list[Fraction]) -> Fraction:
+        def tightest_midpoint(row: tuple[int, ...]) -> Fraction:
+            vals = [value_of[row[pos]] for pos in at]  # lowest first
             # min keeps the lowest of equally tight gaps
-            j = min(gaps, key=lambda j: vals[at[j + 1]] - vals[at[j]])
-            return Fraction(vals[at[j]] + vals[at[j + 1]], 2)
+            j = min(gaps, key=lambda j: vals[j + 1] - vals[j])
+            return Fraction(vals[j] + vals[j + 1], 2)
 
         return tightest_midpoint
     for j in range(top + 1):
         if sat(2 * j):
-            return lambda vals: vals[at[j]]
+            return lambda row: value_of[row[at[j]]]
     if sat(-1):
-        return lambda vals: vals[at[0]] - 1
+        return lambda row: value_of[row[at[0]]] - 1
     if sat(2 * top + 1):
-        return lambda vals: vals[at[top]] + 1
+        return lambda row: value_of[row[at[top]]] + 1
     return lambda _: Fraction(0)

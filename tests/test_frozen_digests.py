@@ -6,7 +6,8 @@ builds the ``main`` pools with ``perfbench/workloads.py`` (imported from
 its file, read only), replays every ``deep`` and ``wide`` request, every
 ``fuzz`` ``check`` request and the first ``fuzz`` stratum in-process
 through ``cli.main``, and compares the digests, so a change to the engine
-that alters any of those answers fails tier-1.
+that alters any of those answers fails tier-1.  The ``heldout`` pools of
+``deep`` and ``wide`` are replayed the same way.
 """
 
 from __future__ import annotations
@@ -46,14 +47,10 @@ def _replayed(pool, workload: str) -> list:
     return first_fuzz + checks
 
 
-@pytest.mark.parametrize("workload", ["deep", "wide", "fuzz"])
-def test_answers_match_frozen_digests(
-    workloads, workload, tmp_path, monkeypatch, capsys
-):
-    pool = workloads.build(workload, "main")
-    frozen = json.loads((PERFBENCH / "digests.json").read_text())[workload]["main"]
+def _replay(workloads, workload: str, pool_name: str, tmp_path, capsys) -> None:
+    pool = workloads.build(workload, pool_name)
+    frozen = json.loads((PERFBENCH / "digests.json").read_text())[workload][pool_name]
     workloads.write_instances(pool, tmp_path)
-    monkeypatch.chdir(tmp_path)
     requests = _replayed(pool, workload)
     assert requests
     mismatched = []
@@ -65,3 +62,20 @@ def test_answers_match_frozen_digests(
         if got != frozen[req.rid]:
             mismatched.append(req.rid)
     assert not mismatched, f"{len(mismatched)} of {len(requests)} answers changed"
+
+
+@pytest.mark.parametrize("workload", ["deep", "wide", "fuzz"])
+def test_answers_match_frozen_digests(
+    workloads, workload, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    _replay(workloads, workload, "main", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("workload", ["deep", "wide"])
+def test_heldout_answers_match_frozen_digests(
+    workloads, workload, tmp_path, monkeypatch, capsys
+):
+    # the pool kept for checking claims on inputs not used while tuning
+    monkeypatch.chdir(tmp_path)
+    _replay(workloads, workload, "heldout", tmp_path, capsys)

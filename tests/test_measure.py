@@ -230,3 +230,22 @@ def test_name_index_is_not_compared_or_shown(halves):
     twin = partition([("w1", "1/2"), ("w2", "1/2")])
     assert twin == halves and hash(twin) == hash(halves)
     assert "_index" not in repr(halves)
+
+
+def test_partition_entries_become_name_weight_tuples():
+    # entries given as lists, or with int and string weights, are stored
+    # as (str, Fraction) tuples: the same partition, equal and hashable
+    built = Partition([["w1", HALF], ["w2", HALF]])
+    mixed = Partition([("w1", "1/2"), ["w2", HALF]])
+    plain = Partition([("w1", HALF), ("w2", HALF)])
+    assert built.atoms == mixed.atoms == (("w1", HALF), ("w2", HALF))
+    assert all(type(entry) is tuple for entry in built.atoms)
+    assert built == mixed == plain
+    assert hash(built) == hash(mixed) == hash(plain)
+
+
+def test_partition_entry_of_wrong_length_is_refused():
+    with pytest.raises(ValueError):
+        Partition([("w1", HALF), ("w2", HALF, "extra")])
+    with pytest.raises(ValueError):
+        Partition([("w1", HALF), ("w2",)])

@@ -1,14 +1,27 @@
 from __future__ import annotations
 
+import json
 import random
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcl import dumps, load, loads
+from randcl import (
+    DLO,
+    Partition,
+    RandomElement,
+    Randomization,
+    dumps,
+    finite_enum,
+    load,
+    loads,
+)
 from randcl.checks import random_instance
+from randcl.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -105,3 +118,264 @@ def test_round_trip(seed):
     assert back.sig == r.sig
     assert back.partition == r.partition
     assert back.elements == r.elements
+
+
+# ---------------------------------------------------------------------------
+# the bulk loader: one parse per distinct string, first bad entry named
+# ---------------------------------------------------------------------------
+
+def _by_value(text: str) -> Randomization:
+    """The instance in text, built one value at a time through the public
+    constructors."""
+    raw = json.loads(text)
+    sig = DLO if raw["theory"] == "dlo" else finite_enum(int(raw["theory"][5:-1]))
+    part = Partition([(name, Fraction(w)) for name, w in raw["atoms"]])
+    elements = {}
+    for name, vals in raw["elements"].items():
+        values = [Fraction(v) if sig.is_dlo else v for v in vals]
+        elements[name] = RandomElement(sig, part, values)
+    return Randomization(sig, part, elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bulk_load_equals_value_by_value(seed):
+    rng = random.Random(seed)
+    text = dumps(random_instance(rng))
+    r = loads(text)
+    assert r == _by_value(text)
+    # equal strings share one parsed object
+    if r.sig.is_dlo:
+        raw = json.loads(text)
+        strings = {v for vals in raw["elements"].values() for v in vals}
+        objs = {id(v) for e in r.elements.values() for v in e.values}
+        assert len(objs) == len(strings)
+
+
+def _mixed_denominators(rng: random.Random, n_atoms: int) -> str:
+    masses = [rng.randint(1, 9) for _ in range(n_atoms)]
+    total = sum(masses)
+    atoms = [[f"w{i + 1}", str(Fraction(m, total))] for i, m in enumerate(masses)]
+    pool = ["0", "-7/3", "5/6", "1/7", "12", "3.25", "1e2", "-0.5", "2/4"]
+    elements = {
+        name: [rng.choice(pool) for _ in range(n_atoms)] for name in "abc"
+    }
+    return json.dumps({"theory": "dlo", "atoms": atoms, "elements": elements})
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bulk_load_mixed_denominators(seed):
+    rng = random.Random(seed)
+    text = _mixed_denominators(rng, rng.choice((1, 7, 300)))
+    assert loads(text) == _by_value(text)
+
+
+def _dlo_payload(n: int = 40) -> dict:
+    return {
+        "theory": "dlo",
+        "atoms": [[f"w{i + 1}", f"1/{n}"] for i in range(n)],
+        "elements": {
+            "a": [str(i % 7) for i in range(n)],
+            "b": [f"{i}/3" for i in range(n)],
+        },
+    }
+
+
+def _enum_payload(n: int = 40) -> dict:
+    return {
+        "theory": "enum(3)",
+        "atoms": [[f"w{i + 1}", f"1/{n}"] for i in range(n)],
+        "elements": {"x": [i % 3 for i in range(n)], "y": [0] * n},
+    }
+
+
+def _edit(base: dict, *edits) -> dict:
+    """base with each (path, value) edit applied; a path is a tuple of keys."""
+    payload = json.loads(json.dumps(base))
+    for path, value in edits:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return payload
+
+
+# each malformed file with the one stderr line its load gives (captured
+# before the loader parsed in bulk)
+MALFORMED = {
+    "bad value deep in the second element": (
+        _edit(_dlo_payload(), (("elements", "b", 31), "3/x")),
+        "error: bad fraction '3/x' for value of element 'b'",
+    ),
+    "first of two bad values": (
+        _edit(
+            _dlo_payload(),
+            (("elements", "b", 5), "1//2"),
+            (("elements", "b", 30), "x"),
+        ),
+        "error: bad fraction '1//2' for value of element 'b'",
+    ),
+    "value of an unparsed type after a bad string": (
+        _edit(
+            _dlo_payload(),
+            (("elements", "b", 5), "nan"),
+            (("elements", "b", 30), 7),
+        ),
+        "error: bad fraction 'nan' for value of element 'b'",
+    ),
+    "zero denominator value": (
+        _edit(_dlo_payload(), (("elements", "a", 17), "2/0")),
+        "error: bad fraction '2/0' for value of element 'a'",
+    ),
+    "bad weight": (
+        _edit(_dlo_payload(), (("atoms", 25, 1), "1/0")),
+        "error: bad fraction '1/0' for weight of atom 'w26'",
+    ),
+    "weight not a string": (
+        _edit(_dlo_payload(), (("atoms", 3, 1), 0.025)),
+        "error: weight of atom 'w4' must be an exact fraction string, got 0.025",
+    ),
+    "bool value": (
+        _edit(_dlo_payload(), (("elements", "a", 12), True)),
+        "error: value of element 'a' must be an exact fraction string, got True",
+    ),
+    "float value": (
+        _edit(_dlo_payload(), (("elements", "b", 39), 0.5)),
+        "error: value of element 'b' must be an exact fraction string, got 0.5",
+    ),
+    "enum bool value": (
+        _edit(_enum_payload(), (("elements", "x", 17), True)),
+        "error: element 'x' values must be integers, got True",
+    ),
+    "enum float value": (
+        _edit(_enum_payload(), (("elements", "y", 2), 1.0)),
+        "error: element 'y' values must be integers, got 1.0",
+    ),
+    "enum string value": (
+        _edit(_enum_payload(), (("elements", "y", 38), "1")),
+        "error: element 'y' values must be integers, got '1'",
+    ),
+    "enum value above the domain": (
+        _edit(_enum_payload(), (("elements", "x", 33), 3)),
+        "error: value 3 out of domain 0..2",
+    ),
+    "enum value below the domain": (
+        _edit(_enum_payload(), (("elements", "y", 9), -1)),
+        "error: value -1 out of domain 0..2",
+    ),
+    "zero weight": (
+        _edit(_dlo_payload(), (("atoms", 10, 1), "0")),
+        "error: atom 'w11' has nonpositive weight 0",
+    ),
+    "negative weight": (
+        _edit(_dlo_payload(), (("atoms", 36, 1), "-1/40"), (("atoms", 37, 1), "0")),
+        "error: atom 'w37' has nonpositive weight -1/40",
+    ),
+    "weights not summing to one": (
+        _edit(_dlo_payload(), (("atoms", 0, 1), "1/20")),
+        "error: weights sum to 41/40",
+    ),
+    "duplicate atoms": (
+        _edit(_dlo_payload(), (("atoms", 20, 0), "w3")),
+        "error: duplicate atom names",
+    ),
+    "atom entry not a list": (
+        _edit(_dlo_payload(), (("atoms", 15), "w16")),
+        "error: atom entry must be a [name, weight] pair, got 'w16'",
+    ),
+    "atom entry of three items": (
+        _edit(_dlo_payload(), (("atoms", 8), ["w9", "1/40", "x"])),
+        "error: atom entry must be a [name, weight] pair, got ['w9', '1/40', 'x']",
+    ),
+    "atom name not a string": (
+        _edit(_dlo_payload(), (("atoms", 30, 0), 31)),
+        "error: atom entry must be a [name, weight] pair, got [31, '1/40']",
+    ),
+    "bad weight before a malformed entry": (
+        _edit(_dlo_payload(), (("atoms", 4, 1), "x"), (("atoms", 29), "w30")),
+        "error: bad fraction 'x' for weight of atom 'w5'",
+    ),
+    "malformed entry before a bad weight": (
+        _edit(_dlo_payload(), (("atoms", 4), "w5"), (("atoms", 29, 1), "x")),
+        "error: atom entry must be a [name, weight] pair, got 'w5'",
+    ),
+    "element values not a list": (
+        _edit(_dlo_payload(), (("elements", "b"), "0")),
+        "error: element 'b' must be a list of values",
+    ),
+    "bad value after a short element": (
+        _edit(
+            _dlo_payload(),
+            (("elements", "a"), ["0"]),
+            (("elements", "b", 20), "?"),
+        ),
+        "error: bad fraction '?' for value of element 'b'",
+    ),
+    "enum type error after a domain error": (
+        _edit(
+            _enum_payload(),
+            (("elements", "x", 5), 7),
+            (("elements", "y", 1), False),
+        ),
+        "error: element 'y' values must be integers, got False",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_pinned_error(case, tmp_path, capsys):
+    payload, line = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["dclb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (("elements", "a", 3), "1e999999999"),
+        (("elements", "b", 0), "-2.5E+999999"),
+        (("elements", "a", 0), "1e-999999999"),
+        (("elements", "a", 0), "1e" + "9" * 5000),
+        (("atoms", 0, 1), "1e999999"),
+        (("elements", "a", 1), "0." + "0" * 4299 + "1"),
+    ],
+)
+def test_huge_exponent_refused_before_building(edit, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_edit(_dlo_payload(), edit)))
+    start = time.perf_counter()
+    code = main(["eval", str(path), "a = b"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad fraction ") and err.count("\n") == 1
+
+
+def test_digit_bound_edge(tmp_path, capsys):
+    # the characters before the exponent plus its size may reach the bound
+    # (1e4299 has 4300 digits and prints), not pass it
+    ok = _edit(_dlo_payload(2), (("elements", "a", 0), "1e4299"))
+    r = loads(json.dumps(ok))
+    assert r.element("a").values[0] == 10**4299
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(ok))
+    assert main(["dcl", str(path), "a"]) == 0
+    assert "1" + "0" * 4299 in capsys.readouterr().out
+    over = _edit(_dlo_payload(2), (("elements", "a", 0), "1e4300"))
+    with pytest.raises(ValueError, match="bad fraction '1e4300'"):
+        loads(json.dumps(over))
+    small = _edit(_dlo_payload(2), (("elements", "a", 0), "1e-4299"))
+    assert loads(json.dumps(small)).element("a").values[0] == Fraction(1, 10**4299)
+    # without an exponent the string's length is the bound: a decimal whose
+    # denominator would have 4301 digits is refused, one of 4299 loads
+    long = "0." + "0" * 4299 + "1"
+    with pytest.raises(ValueError, match="bad fraction"):
+        loads(json.dumps(_edit(_dlo_payload(2), (("elements", "a", 0), long))))
+    fits = "0." + "0" * 4297 + "1"
+    got = loads(json.dumps(_edit(_dlo_payload(2), (("elements", "a", 0), fits))))
+    assert got.element("a").values[0] == Fraction(1, 10**4298)
+    assert str(got.element("a").values[0]) == "1/1" + "0" * 4298

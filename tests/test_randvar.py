@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from randcl import (
     meet,
     parse,
     partition,
+    pointwise_definable_event,
     pointwise_max,
     pointwise_min,
     qe,
@@ -40,7 +42,10 @@ from randcl import (
     transport_elem,
     witness,
 )
-from randcl.checks import random_formula, random_instance
+from randcl.checks import perturb_element, random_formula, random_instance
+from randcl.closure import _places
+from randcl.randvar import _exact_keys, _int_columns, _type_rows
+from randcl.theory import definable_in_model, type_key
 
 HALF = Fraction(1, 2)
 
@@ -361,3 +366,225 @@ def test_transport_preserves_elem_dist(swap_pair):
             assert elem_dist(r.element(x), r.element(y)) == elem_dist(
                 moved[x], moved[y]
             )
+
+
+# ---------------------------------------------------------------------------
+# the integer core
+# ---------------------------------------------------------------------------
+# randvar._int_columns gives the values of a tuple of elements as integers
+# that compare as the values do: under DLO floor(v * 2**64) while every
+# denominator is below 2**32, dense ranks past that; under an enumerated
+# domain the values.  _type_rows, closure._places,
+# pointwise_definable_event, differs and witness compare those integers.
+# Each is checked against a reference on the values themselves, on
+# instances with mixed denominators and with elements built through the
+# public constructor from values no file holds: ints, equal values held in
+# separate Fraction objects, the +1/3 of checks.perturb_element, and, in
+# some instances, a value 2**-70 above another, whose floored key ties
+# with it and whose denominator sends the tuple to the ranks.
+
+_DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
+
+
+def _instance(rng: random.Random) -> Randomization:
+    """A random instance whose elements mix denominators and the ways a
+    value can be held: one pool of shared Fraction objects (as the loader
+    builds them), fresh copies of pool values, ints and perturbed copies."""
+    n_atoms = rng.randint(1, 9)
+    masses = [rng.randint(1, 5) for _ in range(n_atoms)]
+    total = sum(masses)
+    part = partition((f"w{i + 1}", Fraction(m, total)) for i, m in enumerate(masses))
+    if rng.random() < 0.25:
+        sig = finite_enum(rng.randint(2, 4))
+        elements = {
+            f"e{k}": RandomElement(
+                sig, part, [rng.randrange(sig.n) for _ in range(n_atoms)]
+            )
+            for k in range(rng.randint(2, 5))
+        }
+        return Randomization(sig, part, elements)
+    pool = [
+        Fraction(rng.randint(-12, 12), rng.choice(_DENOMINATORS)) for _ in range(5)
+    ]
+    if rng.random() < 0.3:
+        pool.append(pool[0] + Fraction(1, 2**70))
+
+    def draw() -> object:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-2, 2)  # an int, converted by the constructor
+        v = rng.choice(pool)
+        return Fraction(v.numerator, v.denominator) if kind == 1 else v
+
+    r = Randomization(DLO, part, {})
+    for k in range(rng.randint(2, 5)):
+        r.elements[f"e{k}"] = RandomElement(DLO, part, [draw() for _ in range(n_atoms)])
+    base = r.elements[rng.choice(list(r.elements))]
+    r.elements["p"] = perturb_element(rng, r, base)
+    return r
+
+
+def _tuple(rng: random.Random, r: Randomization) -> tuple[RandomElement, ...]:
+    elems = list(r.elements.values())
+    return tuple(rng.choice(elems) for _ in range(rng.randint(1, 4)))
+
+
+def _places_reference(r, elems, b) -> list:
+    """_places on the values: b's rank among the parameters' distinct
+    values doubled, or the gap above the highest one below it."""
+    if not r.sig.is_dlo:
+        return list(b.values)
+    out = []
+    for i, v in enumerate(b.values):
+        ranked = sorted({e.values[i] for e in elems})
+        place = -1
+        for k, w in enumerate(ranked):
+            if w == v:
+                place = 2 * k
+                break
+            if w < v:
+                place = 2 * k + 1
+        out.append(place)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_type_rows_equal_type_key(seed):
+    rng = random.Random(seed)
+    r = _instance(rng)
+    elems = _tuple(rng, r)
+    expected = [type_key(r.sig, vals) for vals in zip(*(e.values for e in elems))]
+    assert _type_rows(r, elems) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_places_match_value_reference(seed):
+    rng = random.Random(seed)
+    r = _instance(rng)
+    elems = list(_tuple(rng, r))[: rng.randint(0, 3)]
+    b = rng.choice(list(r.elements.values()))
+    assert _places(r, elems, b) == _places_reference(r, elems, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pointwise_event_matches_definable_in_model(seed):
+    rng = random.Random(seed)
+    r = _instance(rng)
+    names = list(r.elements)
+    params = rng.sample(names, rng.randint(0, min(3, len(names))))
+    b = r.element(rng.choice(names))
+    expected = {
+        i
+        for i in range(r.partition.size)
+        if definable_in_model(r.sig, b.values[i], [r.element(p).values[i] for p in params])
+    }
+    assert pointwise_definable_event(r, b, params).members == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_differs_matches_value_comparison(seed):
+    rng = random.Random(seed)
+    r = _instance(rng)
+    a, b = (rng.choice(list(r.elements.values())) for _ in range(2))
+    expected = {i for i, (x, y) in enumerate(zip(a.values, b.values)) if x != y}
+    assert differs(a, b).members == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_witness_matches_value_reference(seed):
+    rng = random.Random(seed)
+    r = _instance(rng)
+    names = tuple(r.elements)
+    scope = ("t",) + tuple(rng.sample(names, min(3, len(names))))
+    theta = random_formula(rng, r.sig, scope, quantifiers=rng.randint(0, 2))
+    binding = {n: n for n in free_vars(theta) if n != "t"}
+    w = witness(r, theta, "t", binding)
+    assert w.values == _witness_by_atom(r, theta, "t", binding)
+    assert str(w) == "(" + ", ".join(str(v) for v in w.values) + ")"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_element_text_renders_each_value(seed):
+    r = _instance(random.Random(seed))
+    for e in r.elements.values():
+        assert str(e) == "(" + ", ".join(str(v) for v in e.values) + ")"
+
+
+def test_integer_keys_are_derived_state(swap_pair):
+    # the keys an element keeps stay out of ==, hash and repr
+    a = swap_pair.element("a")
+    fresh = RandomElement(DLO, swap_pair.partition, a.values)
+    differs(a, swap_pair.element("b"))  # fills a's keys, not fresh's
+    assert a._keys is not None and fresh._keys is None
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert "_keys" not in repr(a)
+
+
+def test_large_denominators_are_ranked():
+    # past 2**32 a floored key may tie for distinct values: v and v + 2**-70
+    # share one, so such tuples are ranked, comparing values on ties
+    part = partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
+    v = Fraction(1, 3)
+    close = v + Fraction(1, 2**70)
+    a = RandomElement(DLO, part, [v, close, Fraction(1, 3)])
+    b = RandomElement(DLO, part, [close, v, v])
+    assert _exact_keys(a) is None and _exact_keys(b) is None
+    for first, second in ((a, b), (b, a)):  # either value object seen first
+        pairs = list(zip(*_int_columns(DLO, (first, second))))
+        values = list(zip(first.values, second.values))
+        assert [x < y for x, y in pairs] == [p < q for p, q in values]
+        assert [x == y for x, y in pairs] == [p == q for p, q in values]
+    assert _int_columns(DLO, (a,))[0] == [0, 1, 0]
+    r = Randomization(DLO, part, {"a": a, "b": b})
+    assert _type_rows(r, (a, b)) == [(0, 1), (1, 0), (0, 0)]
+    assert differs(a, b).members == {0, 1}
+    # denominators just past 2**32 already allow such ties: 1/2**40 and
+    # 1/(2**40 - 1) differ by about 2**-80
+    lo, hi = Fraction(1, 2**40), Fraction(1, 2**40 - 1)
+    c = RandomElement(DLO, part, [lo, hi, lo])
+    d = RandomElement(DLO, part, [hi, lo, Fraction(1, 2**40)])
+    assert _exact_keys(c) is None
+    assert _type_rows(r, (c, d)) == [(0, 1), (1, 0), (0, 0)]
+    assert differs(c, d).members == {0, 1}
+
+
+def _primes(lo: int, count: int) -> list[int]:
+    out, p = [], lo
+    while len(out) < count:
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_coprime_denominators_stay_cheap():
+    # 3000 atoms whose values have pairwise coprime 5-digit denominators: a
+    # common denominator of one column would have over 14,000 digits.  The
+    # ranks stay below the number of values, and the whole core runs in a
+    # small fraction of the bound, the same as for any 9000 distinct values
+    n = 3000
+    ps = _primes(10007, n + 1)
+    part = partition((f"w{i}", Fraction(1, n)) for i in range(n))
+    a = RandomElement(DLO, part, [Fraction(1, p) for p in ps[:n]])
+    b = RandomElement(DLO, part, [Fraction(1, p) for p in ps[1:]])
+    c = RandomElement(DLO, part, [Fraction(i % 3, p) for i, p in enumerate(ps[:n])])
+    r = Randomization(DLO, part, {"a": a, "b": b, "c": c})
+    start = time.process_time()
+    columns = _int_columns(DLO, (a, b, c))
+    rows = _type_rows(r, (a, b, c))
+    places = _places(r, [a, b], c)
+    apart = differs(a, c)
+    w = witness(r, parse("b < t & t < a"), "t", {"a": "a", "b": "b"})
+    assert time.process_time() - start < 5.0
+    # the ints are floor(v * 2**64): for these values in [0, 1], 65 bits
+    assert max(k.bit_length() for col in columns for k in col) <= 65
+    assert rows == [type_key(DLO, t) for t in zip(a.values, b.values, c.values)]
+    assert places == _places_reference(r, [a, b], c)
+    assert apart.members == {i for i in range(n) if i % 3 != 1}  # c = a at 1 mod 3
+    assert w.values == tuple((x + y) / 2 for x, y in zip(a.values, b.values))
