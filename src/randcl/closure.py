@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .formula import Exists, Formula, MutableRecord
@@ -21,8 +22,8 @@ from .measure import Event, EventAlgebra
 from .randvar import (
     RandomElement,
     Randomization,
+    _exact_keys,
     _int_columns,
-    _key_map,
     _resolve,
     _type_rows,
     differs,
@@ -36,18 +37,23 @@ from .theory import (
 
 Param = str | RandomElement
 ParamSet = Sequence[Param]
+_VALUES = attrgetter("values")
 
 def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
     names = [p for p in params if isinstance(p, str)]
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter name")
-    out: list[RandomElement] = []
+    # the first element of each distinct value tuple, by a hash key that
+    # equal values share: the values under an enumerated domain, the kept
+    # (k, keys) under DLO (hashing a Fraction runs Python code).  An element
+    # given twice gives the same key object, which a dict matches by
+    # identity before comparing entries
+    key_of = _exact_keys if r.sig.is_dlo else _VALUES
+    out: dict[tuple, RandomElement] = {}
     for p in params:
         e = _resolve(r, p)
-        # compared, not hashed: Fraction hashing is slow and params are few
-        if all(e.values != o.values for o in out):
-            out.append(e)
-    return out
+        out.setdefault(key_of(e), e)
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +306,18 @@ def _assemble(
     r: Randomization,
     groups: Sequence[tuple[int, ...]],
     combos: Iterable[Sequence[tuple[Value, ...]]],
-    keys_from: Sequence[RandomElement] = (),
 ) -> Iterator[RandomElement]:
     """The elements taking, on each group, the restriction a combo gives,
-    one combo at a time.
-
-    The restrictions hold the value objects of the elements keys_from, if
-    given; each element built then reads its integer keys off theirs
-    (randvar._exact_keys) instead of working them out again.
-    """
+    one combo at a time, built through RandomElement._trusted."""
     # the groups partition the atoms: each atom's index in a combo's
     # restrictions laid end to end
     at = [0] * r.partition.size
     for k, pos in enumerate(itertools.chain.from_iterable(groups)):
         at[pos] = k
-    key_of = _key_map(r.sig, keys_from) if keys_from else None
     for combo in combos:
         flat = tuple(itertools.chain.from_iterable(combo))
         values = tuple(map(flat.__getitem__, at))
-        keys = None if key_of is None else list(map(key_of.__getitem__, map(id, values)))
-        yield RandomElement._trusted(r.sig, r.partition, values, keys)
+        yield RandomElement._trusted(r.sig, r.partition, values)
 
 
 def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
@@ -363,7 +361,7 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
     top = r.partition.top()
     return [
         b
-        for b in _assemble(r, groups, itertools.product(*per_group), elems)
+        for b in _assemble(r, groups, itertools.product(*per_group))
         if fo_definable_on(r, b, top, elems)
     ]
 

@@ -15,6 +15,11 @@ from .formula import Record
 
 _set = object.__setattr__
 
+# Python's default limit on int <-> str conversion: past it an exact value
+# could not be printed, and building it can already take seconds
+_MAX_DIGITS = 4300
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS
+
 
 def as_fraction(v: object) -> Fraction:
     """v as an exact Fraction; a float is refused rather than rounded."""
@@ -49,7 +54,16 @@ class Partition(Record):
         _set(self, "_index", index)
         if not atoms:
             raise ValueError("a partition needs at least one atom")
-        denom = math.lcm(*(w.denominator for w in weights))
+        # every probability's denominator divides the weights' common one,
+        # so bounding it keeps every probability printable; it is checked
+        # as it grows, so coprime denominators never build a huge one
+        denom = 1
+        for d in {w.denominator for w in weights}:
+            denom = math.lcm(denom, d)
+            if denom >= _TOO_MANY_DIGITS:
+                raise ValueError(
+                    f"weights' common denominator has more than {_MAX_DIGITS} digits"
+                )
         nums = tuple(w.numerator * (denom // w.denominator) for w in weights)
         if min(nums) <= 0:
             n, w = next((n, w) for n, w in atoms if w <= 0)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .formula import DLO, Signature, finite_enum
-from .measure import Partition
+from .measure import _MAX_DIGITS, Partition
 from .randvar import RandomElement, Randomization, _value_texts
 
 _ENUM_RE = re.compile(r"enum\((\d+)\)\Z")
@@ -41,11 +41,6 @@ def _parse_theory(raw: object) -> Signature:
 
 def _theory_string(sig: Signature) -> str:
     return "dlo" if sig.is_dlo else f"enum({sig.n})"
-
-
-# Python's default limit on int <-> str conversion: past it an exact value
-# could not be printed, and building it can already take seconds
-_MAX_DIGITS = 4300
 
 
 def _fraction(text: str) -> Fraction:

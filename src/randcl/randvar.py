@@ -59,20 +59,17 @@ class RandomElement(Record):
 
     @classmethod
     def _trusted(
-        cls,
-        sig: Signature,
-        partition: Partition,
-        values: tuple,
-        keys: list[int] | None = None,
+        cls, sig: Signature, partition: Partition, values: tuple
     ) -> RandomElement:
         """An element whose values were all taken from elements of the
         same space (decoded closure members, if_less, glue), so they need
-        no checking again; keys, when given, are its _exact_keys."""
+        no checking again; its keys are worked out on first use, like any
+        element's."""
         e = object.__new__(cls)
         _set(e, "sig", sig)
         _set(e, "partition", partition)
         _set(e, "values", values)
-        _set(e, "_keys", keys)
+        _set(e, "_keys", None)
         return e
 
     def __str__(self) -> str:
@@ -160,45 +157,37 @@ def _resolve(r: Randomization, p: str | RandomElement) -> RandomElement:
     return p
 
 
-# floor(v * 2**_KEY_BITS) orders values exactly while every denominator
-# is below 2**(_KEY_BITS // 2): two such values that differ, differ by more
-# than 2**-_KEY_BITS
+# floor(v * 2**k) orders values exactly while every denominator is below
+# 2**(k // 2): two such values that differ, differ by more than 2**-k.  An
+# element's k is twice the bit length of its largest denominator, and at
+# least _KEY_BITS, so that elements whose denominators are all below 2**32
+# share one k and a tuple of them uses each element's kept keys as they are
 _KEY_BITS = 64
 
 
-def _exact_keys(e: RandomElement) -> list[int] | None:
-    """floor(v * 2**_KEY_BITS) for each of a DLO element's values, or None
-    when a denominator reaches 2**(_KEY_BITS // 2), past which these keys
-    may tie for distinct values.
+def _floor_keys(
+    values: Sequence[Fraction], k: int = 0
+) -> tuple[int, tuple[int, ...]]:
+    """(k, floor(v * 2**k) for each value), k raised to the values' own
+    width when it is below it.
 
     Each distinct value object is read once, keyed by identity (a
     Fraction hashes in Python code, an int in C), so entries that share an
-    object, as the loader shares them, cost one conversion.  The result
-    is kept in e._keys.
+    object, as the loader shares them, cost one conversion.
     """
+    objs = dict(zip(map(id, values), values))
+    ratios = list(map(Fraction.as_integer_ratio, objs.values()))
+    k = max(k, _KEY_BITS, 2 * max(map(itemgetter(1), ratios)).bit_length())
+    key = dict(zip(objs, [(n << k) // d for n, d in ratios]))
+    return k, tuple(map(key.__getitem__, map(id, values)))
+
+
+def _exact_keys(e: RandomElement) -> tuple[int, tuple[int, ...]]:
+    """A DLO element's keys at its own k (see _floor_keys), kept in e._keys.
+    Equal values give equal keys at an equal k."""
     if e._keys is None:
-        objs = dict(zip(map(id, e.values), e.values))
-        ratios = list(map(Fraction.as_integer_ratio, objs.values()))
-        if max(map(itemgetter(1), ratios)).bit_length() > _KEY_BITS // 2:
-            _set(e, "_keys", ())
-        else:
-            key = dict(zip(objs, [(n << _KEY_BITS) // d for n, d in ratios]))
-            _set(e, "_keys", list(map(key.__getitem__, map(id, e.values))))
-    return e._keys or None
-
-
-def _key_map(sig: Signature, elems: Sequence[RandomElement]) -> dict[int, int] | None:
-    """The id of each of the elements' value objects to its key (see
-    _exact_keys); None unless they are DLO elements that all have keys."""
-    if not sig.is_dlo:
-        return None
-    columns = list(map(_exact_keys, elems))
-    if None in columns:
-        return None
-    key_of: dict[int, int] = {}
-    for e, col in zip(elems, columns):
-        key_of.update(zip(map(id, e.values), col))
-    return key_of
+        _set(e, "_keys", _floor_keys(e.values))
+    return e._keys
 
 
 def _int_columns(
@@ -207,28 +196,23 @@ def _int_columns(
     """The elements' values as columns of ints that compare, across the
     elements, exactly as the values do.
 
-    Under an enumerated domain, the values.  Under DLO, each element's
-    _exact_keys; or, when some denominator is too large for them, each
-    value's dense rank among the distinct values the elements take,
-    sorted on the same floored key with the values breaking ties.  Either
-    way no common denominator is formed, so the cost does not grow with
-    the number of distinct denominators.
+    Under an enumerated domain, the values.  Under DLO, each value's
+    floor(v * 2**k) at the largest k of the elements (see _floor_keys):
+    each element's kept keys, worked out again only for an element whose
+    own k is smaller.  No common denominator is formed, so the cost does
+    not grow with the number of distinct denominators.
     """
     if not sig.is_dlo:
         return [e.values for e in elems]
-    columns = list(map(_exact_keys, elems))
-    if None not in columns:
-        return columns
-    objs: dict[int, Fraction] = {}
-    for e in elems:
-        objs.update(zip(map(id, e.values), e.values))
-    # in lowest terms, so equal exactly for equal values
-    ratios = list(map(Fraction.as_integer_ratio, objs.values()))
-    value = dict(zip(ratios, objs.values()))  # one object per distinct value
-    order = sorted(value, key=lambda nd: ((nd[0] << _KEY_BITS) // nd[1], value[nd]))
-    rank = dict(zip(order, range(len(order))))
-    of_id = dict(zip(objs, map(rank.__getitem__, ratios)))
-    return [list(map(of_id.__getitem__, map(id, e.values))) for e in elems]
+    kept = list(map(_exact_keys, elems))
+    widths = set(map(itemgetter(0), kept))
+    if len(widths) < 2:  # one k, as for any denominators below 2**32
+        return list(map(itemgetter(1), kept))
+    k = max(widths)
+    return [
+        col if bits == k else _floor_keys(e.values, k)[1]
+        for e, (bits, col) in zip(elems, kept)
+    ]
 
 
 def _dense_ranks(t: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from randcl.cli import main
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SWAP = str(SAMPLES / "swap_pair.json")
 COIN = str(SAMPLES / "coin_enum.json")
+NEAR = str(SAMPLES / "near_thirds.json")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -156,6 +157,44 @@ def test_witness(capsys):
     w = witness(r, parse("a < u & u < b"), "u", {"a": "a", "b": "b"})
     assert out == f"{w}\n"
     assert out == "(1/2, 0)\n"
+
+
+# near_thirds.json holds 1/3 and E = 1/3 + 2**-70, which floor(v * 2**64)
+# cannot tell apart; each answer is pinned to its exact text
+_E = "1180591620717411303427/3541774862152233910272"
+_NEAR_CLOSURE = f"""4 elements:
+  (1/3, 1/3, 0, 1/3)
+  a = (1/3, {_E}, 0, 1/3)
+  b = ({_E}, 1/3, 1/3, 1/3)
+  d = ({_E}, {_E}, 1/3, 1/3)
+"""
+_VERDICTS = ("pointwise_algebra", "pinning", "piecewise_family", "isolating_events",
+             "closure_member", "verdict")
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (("dcl", NEAR, "a", "b"), 0, _NEAR_CLOSURE),
+        (("lcl", NEAR, "a", "b"), 0, _NEAR_CLOSURE),
+        (("dcl", NEAR, "c"), 0, f"1 elements:\n  c = (1/3, 1/3, {_E}, 1)\n"),
+        (("isdef", NEAR, "d", "a", "b"), 0, "".join(f"{v}: true\n" for v in _VERDICTS)),
+        (("isdef", NEAR, "c", "a", "b"), 1, "".join(f"{v}: false\n" for v in _VERDICTS)),
+        (("pointwise", NEAR, "c", "a", "b"), 1, "{w1,w2}, probability = 1/2\n"),
+        (
+            ("witness", NEAR, "a < t & t < b", "t"),
+            0,
+            "(2361183241434822606851/7083549724304467820544, 0, 1/6, 0)\n",
+        ),
+        (
+            ("witness", NEAR, "c < t", "t"),
+            0,
+            "(4/3, 4/3, 4722366482869645213699/3541774862152233910272, 2)\n",
+        ),
+    ],
+)
+def test_values_apart_by_less_than_two_to_the_minus_64(capsys, argv, code, expected):
+    assert run(capsys, *argv) == (code, expected)
 
 
 def test_check(capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from randcl import (
     load,
     loads,
 )
+from randcl import measure
 from randcl.checks import random_instance
 from randcl.cli import main
 
@@ -379,3 +382,55 @@ def test_digit_bound_edge(tmp_path, capsys):
     got = loads(json.dumps(_edit(_dlo_payload(2), (("elements", "a", 0), fits))))
     assert got.element("a").values[0] == Fraction(1, 10**4298)
     assert str(got.element("a").values[0]) == "1/1" + "0" * 4298
+
+
+_DENOM_LINE = "error: weights' common denominator has more than 4300 digits\n"
+
+
+def test_common_denominator_bound(tmp_path, capsys):
+    # three pairwise coprime 1500-digit denominators: each weight fits the
+    # digit bound, their common denominator (4500 digits) does not, and the
+    # weights do not sum to 1, a sum that could not be printed
+    d = 10**1499 + 1  # odd, so d, d + 1 and d + 2 are pairwise coprime
+    payload = {
+        "theory": "dlo",
+        "atoms": [[f"w{i}", f"1/{d + i}"] for i in range(3)],
+        "elements": {"a": ["0", "1", "2"]},
+    }
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps(payload))
+    assert main(["dclb", str(path), "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == _DENOM_LINE
+    # a common denominator of 4300 digits is accepted, one of 4301 is not
+    tiny = Fraction(1, 10**4299)
+    assert Partition([("w1", tiny), ("w2", 1 - tiny)])._denom == 10**4299
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        Partition([("w1", tiny / 10), ("w2", 1 - tiny / 10)])
+
+
+def test_common_denominator_checked_as_it_grows(tmp_path, capsys, monkeypatch):
+    # 3000 weights over distinct 5-digit primes: their common denominator
+    # would have over 14,000 digits; it is refused one prime past 4300
+    n, p, primes = 3000, 10007, []
+    while len(primes) < n:
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            primes.append(p)
+        p += 1
+    payload = {
+        "theory": "dlo",
+        "atoms": [[f"w{i}", f"1/{q}"] for i, q in enumerate(primes)],
+        "elements": {"a": ["0"] * n},
+    }
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(payload))
+    built = []
+
+    def lcm(*args: int) -> int:
+        built.append(math.lcm(*args))
+        return built[-1]
+
+    monkeypatch.setattr(measure, "math", SimpleNamespace(lcm=lcm))
+    assert main(["dclb", str(path), "a"]) == 2
+    assert capsys.readouterr().err == _DENOM_LINE
+    assert max(built) < 10**4300 * primes[-1]

@@ -372,16 +372,16 @@ def test_transport_preserves_elem_dist(swap_pair):
 # the integer core
 # ---------------------------------------------------------------------------
 # randvar._int_columns gives the values of a tuple of elements as integers
-# that compare as the values do: under DLO floor(v * 2**64) while every
-# denominator is below 2**32, dense ranks past that; under an enumerated
-# domain the values.  _type_rows, closure._places,
-# pointwise_definable_event, differs and witness compare those integers.
-# Each is checked against a reference on the values themselves, on
-# instances with mixed denominators and with elements built through the
-# public constructor from values no file holds: ints, equal values held in
-# separate Fraction objects, the +1/3 of checks.perturb_element, and, in
-# some instances, a value 2**-70 above another, whose floored key ties
-# with it and whose denominator sends the tuple to the ranks.
+# that compare as the values do: under DLO floor(v * 2**k), k the largest
+# of the elements' own widths (twice the bit length of an element's largest
+# denominator, at least 64); under an enumerated domain the values.
+# _type_rows, closure._places, pointwise_definable_event, differs and
+# witness compare those integers.  Each is checked against a reference on
+# the values themselves, on instances with mixed denominators and with
+# elements built through the public constructor from values no file holds:
+# ints, equal values held in separate Fraction objects, the +1/3 of
+# checks.perturb_element, and, in some instances, a value 2**-70 above
+# another, whose key at k = 64 would tie with it.
 
 _DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -526,21 +526,30 @@ def test_integer_keys_are_derived_state(swap_pair):
     assert "_keys" not in repr(a)
 
 
-def test_large_denominators_are_ranked():
-    # past 2**32 a floored key may tie for distinct values: v and v + 2**-70
-    # share one, so such tuples are ranked, comparing values on ties
+def _assert_compare_as_values(elems) -> None:
+    # the columns order and equate, atom by atom and across the elements,
+    # exactly as the values do
+    columns = _int_columns(DLO, elems)
+    keys = [k for col in columns for k in col]
+    values = [v for e in elems for v in e.values]
+    assert [x < y for x in keys for y in keys] == [p < q for p in values for q in values]
+    assert [x == y for x in keys for y in keys] == [p == q for p in values for q in values]
+
+
+def test_large_denominators_compare_exactly():
+    # at k = 64 the keys of v and v + 2**-70 tie; an element holding the
+    # larger denominator keys at its own, larger k, and a tuple keys every
+    # element at the largest k among them
     part = partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
     v = Fraction(1, 3)
     close = v + Fraction(1, 2**70)
     a = RandomElement(DLO, part, [v, close, Fraction(1, 3)])
     b = RandomElement(DLO, part, [close, v, v])
-    assert _exact_keys(a) is None and _exact_keys(b) is None
+    assert _exact_keys(a)[0] == 2 * close.denominator.bit_length() > 64
     for first, second in ((a, b), (b, a)):  # either value object seen first
-        pairs = list(zip(*_int_columns(DLO, (first, second))))
-        values = list(zip(first.values, second.values))
-        assert [x < y for x, y in pairs] == [p < q for p, q in values]
-        assert [x == y for x, y in pairs] == [p == q for p, q in values]
-    assert _int_columns(DLO, (a,))[0] == [0, 1, 0]
+        _assert_compare_as_values((first, second))
+    column = _int_columns(DLO, (a,))[0]
+    assert column[0] == column[2] < column[1]
     r = Randomization(DLO, part, {"a": a, "b": b})
     assert _type_rows(r, (a, b)) == [(0, 1), (1, 0), (0, 0)]
     assert differs(a, b).members == {0, 1}
@@ -549,9 +558,45 @@ def test_large_denominators_are_ranked():
     lo, hi = Fraction(1, 2**40), Fraction(1, 2**40 - 1)
     c = RandomElement(DLO, part, [lo, hi, lo])
     d = RandomElement(DLO, part, [hi, lo, Fraction(1, 2**40)])
-    assert _exact_keys(c) is None
+    assert _exact_keys(c)[0] == 82
+    _assert_compare_as_values((c, d))
     assert _type_rows(r, (c, d)) == [(0, 1), (1, 0), (0, 0)]
     assert differs(c, d).members == {0, 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small=st.lists(
+        st.fractions(max_denominator=12).filter(lambda v: abs(v) <= 12),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_mixed_precision_tuples(small, data):
+    # one element with only small denominators, another holding some of
+    # its values 2**-70 above themselves: the tuple keys both at the fine
+    # element's k, and the small element keeps its own keys at k = 64
+    n = len(small)
+    lift = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    fine_values = [
+        v + Fraction(1, 2**70) if up else data.draw(st.sampled_from(small))
+        for v, up in zip(small, lift)
+    ] + [small[0] + Fraction(1, 2**70)]  # at least one fine value
+    part = partition((f"w{i}", Fraction(1, n + 1)) for i in range(n + 1))
+    a = RandomElement(DLO, part, [*small, small[-1]])
+    b = RandomElement(DLO, part, fine_values)
+    kept = _exact_keys(a)
+    assert kept[0] == 64
+    before = kept[1]
+    assert before == tuple((v.numerator << 64) // v.denominator for v in a.values)
+    elems = tuple(data.draw(st.permutations([a, b, a])))
+    _assert_compare_as_values(elems)
+    r = Randomization(DLO, part, {"a": a, "b": b})
+    expected = [type_key(DLO, vals) for vals in zip(*(e.values for e in elems))]
+    assert _type_rows(r, elems) == expected
+    assert a._keys is kept and a._keys == (64, before)
+    assert _exact_keys(b)[0] > 64
 
 
 def _primes(lo: int, count: int) -> list[int]:
