@@ -16,12 +16,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closure import (
-    _if_less_closure_naive,
     _realized_events,
     _resolve_params,
     definability_report,
     definable_closure,
-    fo_definable_closure,
     fo_definable_on,
     fo_event_algebra,
     if_less_closure,
@@ -69,8 +67,9 @@ from .randvar import (
     transport_elem,
     witness,
 )
+from .oracles import _if_less_closure_naive, eval_direct, fo_definable_closure
 from .randfile import dumps, loads
-from .theory import eval_direct, eval_qf, qe
+from .theory import eval_qf, qe
 
 # ---------------------------------------------------------------------------
 # instance generation

@@ -23,17 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .checks import run_checks, run_fuzz
-from .closure import (
-    definability_report,
-    definable_closure,
-    fo_event_algebra,
-    if_less_closure,
-    pointwise_definable_event,
-)
 from .formula import free_vars, parse
 from .measure import Event, event_dist
 from .randfile import _values_payloads, load, to_payload
@@ -123,6 +114,10 @@ def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+# Every request is a fresh process that compiles each module it imports, so
+# a handler imports closure, checks and random itself: eval, witness, dist
+# and glue never load them.
+
 def _cmd_eval(args) -> int:
     r = load(args.file)
     f = parse(args.formula, r.sig)
@@ -131,6 +126,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dclb(args) -> int:
+    from .closure import fo_event_algebra
+
     r = load(args.file)
     alg = fo_event_algebra(r, args.params)
     if args.format == "structured":
@@ -142,13 +139,18 @@ def _cmd_dclb(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .closure import definable_closure, if_less_closure
+
+    closure = definable_closure if args.command == "dcl" else if_less_closure
     r = load(args.file)
-    lines, payload = _element_lines(r, args, args.closure(r, args.params))
+    lines, payload = _element_lines(r, args, closure(r, args.params))
     _emit(args, lines, payload)
     return 0
 
 
 def _cmd_isdef(args) -> int:
+    from .closure import definability_report
+
     r = load(args.file)
     report = definability_report(r, args.element, args.params)
     lines = [f"{path}: {str(ok).lower()}" for path, ok in report.paths.items()]
@@ -166,6 +168,8 @@ def _cmd_isdef(args) -> int:
 
 
 def _cmd_pointwise(args) -> int:
+    from .closure import pointwise_definable_event
+
     r = load(args.file)
     ev = pointwise_definable_event(r, args.element, args.params)
     _emit_event(args, ev)
@@ -198,6 +202,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    import random
+
+    from .checks import run_checks
+
     r = load(args.file)
     results = run_checks(r, random.Random(args.seed))
     lines = []
@@ -219,6 +227,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .checks import run_fuzz
+
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     outcomes = run_fuzz(args.count, args.seed)
@@ -274,13 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("formula")
 
-    for name, closure, help_text in (
-        ("dclb", None, "atoms of the parameter-definable event algebra"),
-        ("dcl", definable_closure, "enumerate the definable closure"),
-        ("lcl", if_less_closure, "closure under if_less (ordered theory only)"),
+    for name, handler, help_text in (
+        ("dclb", _cmd_dclb, "atoms of the parameter-definable event algebra"),
+        ("dcl", _cmd_closure, "enumerate the definable closure"),
+        ("lcl", _cmd_closure, "closure under if_less (ordered theory only)"),
     ):
-        p = cmd(name, _cmd_closure if closure else _cmd_dclb, help_text)
-        p.set_defaults(closure=closure)
+        p = cmd(name, handler, help_text)
         p.add_argument("file")
         p.add_argument("params", nargs="*", metavar="PARAM")
 

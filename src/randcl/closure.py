@@ -6,8 +6,9 @@ elements: the event algebra of the parameters' types, the pointwise test
 inside each fiber model, per-event definability through functional
 formulas, whole-element deciders (two of them on the isolating-formula
 events, one formula per type the parameters realize on some atom),
-exhaustive closure enumerations, and a fixpoint closure under the
-four-argument if_less combinator.
+the closure enumeration, and the closure under the four-argument if_less
+combinator.  The reference enumerations the cross-checks compare these
+with are in oracles.
 """
 
 from __future__ import annotations
@@ -340,69 +341,9 @@ def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]
     return list(_assemble(r, groups, itertools.product(*per_group)))
 
 
-def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
-    """Every element carved out everywhere by a functional formula over the
-    parameters; enumerated independently of definable_closure by filtering
-    a sound candidate pool through fo_definable_on.
-
-    The pool: under DLO every value some parameter takes, on each atom on
-    its own; under an enumerated domain every constant on each type group.
-    Each pool is in increasing order, so the candidates, and with them the
-    output, come in lexicographic order.
-    """
-    elems = _resolve_params(r, params)
-    if not r.sig.is_dlo:
-        groups = _group_indices(r, elems)
-    elif elems:
-        groups = [(i,) for i in range(r.partition.size)]
-    else:
-        return []
-    per_group = _group_restrictions(r, elems, groups)
-    top = r.partition.top()
-    return [
-        b
-        for b in _assemble(r, groups, itertools.product(*per_group))
-        if fo_definable_on(r, b, top, elems)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # if_less fixpoint closure
 # ---------------------------------------------------------------------------
-
-def _if_less_closure_naive(r: Randomization, params: ParamSet) -> list[RandomElement]:
-    """Reference fixpoint: iterate if_less over element quadruples until no
-    new element appears.  Exponential; only for small cross-checks.
-
-    Every element reached takes, on each atom, one of the parameters'
-    values there, so it is held as its tuple of per-atom ranks, which
-    if_less compares exactly as it would the values.
-    """
-    elems = _resolve_params(r, params)
-    if not r.sig.is_dlo:
-        raise ValueError("if_less closure needs an ordered theory")
-    if not elems:
-        return []
-    rows = _type_rows(r, tuple(elems))
-    current = dict.fromkeys(zip(*rows))
-    while True:
-        pool = list(current)
-        added = False
-        for a, b in itertools.product(pool, repeat=2):
-            for x, y in itertools.product(pool, repeat=2):
-                z = tuple(
-                    xi if ai < bi else yi for ai, bi, xi, yi in zip(a, b, x, y)
-                )
-                if z not in current:
-                    current[z] = None
-                    added = True
-        if not added:
-            break
-    atoms = [(i,) for i in range(r.partition.size)]
-    per_atom = _group_restrictions(r, elems, atoms)
-    combos = ([per_atom[i][k] for i, k in enumerate(z)] for z in sorted(current))
-    return list(_assemble(r, atoms, combos))
-
 
 def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
     """Least set of elements containing the parameters and closed under the

@@ -22,7 +22,7 @@ from .formula import (
     Record,
     Signature,
 )
-from .measure import Event, Partition, as_fraction
+from .measure import _MAX_DIGITS, _TOO_MANY_DIGITS, Event, Partition, as_fraction
 from .theory import Value, _check_assignment, eval_qf, qe
 
 _set = object.__setattr__
@@ -216,13 +216,13 @@ def _int_columns(
 
 
 def _dense_ranks(t: tuple[int, ...]) -> tuple[int, ...]:
-    """theory.type_key of a DLO tuple, for values held as ints that
+    """oracles.type_key of a DLO tuple, for values held as ints that
     compare as they do."""
     return tuple(map(sorted(set(t)).index, t))
 
 
 def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple]:
-    """theory.type_key of the elements' values on each atom, computed once
+    """oracles.type_key of the elements' values on each atom, computed once
     per distinct tuple of their integer columns (see _int_columns).
 
     The deciders evaluate thousands of formulas over one element tuple, so
@@ -248,7 +248,7 @@ def _per_type(
     """decide's answer on each atom, in atom order.
 
     What a formula says about the bound elements on an atom depends only
-    on the type of their value tuple there (theory.type_key), so decide is
+    on the type of their value tuple there (oracles.type_key), so decide is
     called once per distinct type, on the type key itself, given as the
     assignment of each bound variable to its entry.
     """
@@ -370,8 +370,12 @@ def witness(
     values are bound.  For FiniteEnum the smallest satisfying domain value
     is chosen, default 0.
 
+    Raises ValueError when a chosen value's numerator or denominator has
+    more than _MAX_DIGITS digits, so it could not be printed: a midpoint's
+    denominator can have twice the digits of the values around it.
+
     Which regions satisfy depends only on the type of the bound values
-    (theory.type_key), so it is decided once per type that occurs; each
+    (oracles.type_key), so it is decided once per type that occurs; each
     atom then only does the arithmetic of its own values.
     """
     g = qe(theta, r.sig)
@@ -394,7 +398,9 @@ def witness(
     # is worked out once
     value = dict(zip(rows, _per_type(r, params, rule)))
     for row, choose in value.items():
-        value[row] = choose(row)
+        w = value[row] = choose(row)
+        if abs(w.numerator) >= _TOO_MANY_DIGITS or w.denominator >= _TOO_MANY_DIGITS:
+            raise ValueError(f"witness value has more than {_MAX_DIGITS} digits")
     return RandomElement(r.sig, r.partition, tuple(map(value.__getitem__, rows)))
 
 

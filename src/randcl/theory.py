@@ -3,16 +3,14 @@
 Both theories, dense linear orders without endpoints and finite
 enumerated domains, are decided by one quantifier eliminator: a
 quantifier becomes the truth of its body at finitely many test points,
-and every evaluator is qe followed by eval_qf.  An independent direct
-evaluator, which searches the same points without eliminating anything,
-is the oracle in tests.  On top of those sit validity, functional-formula
-checking, and the isolating formulas that drive the closure operators.
+and every evaluator is qe followed by eval_qf.  On top of that sit the
+isolating formulas of realized types that drive the closure deciders.
+The independent reference routes (direct evaluation, validity, the full
+list of isolating formulas) are in oracles.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +38,6 @@ from .formula import (
     free_vars,
     is_quantifier_free,
     subformulas,
-    substitute,
 )
 
 Value = Fraction | int
@@ -287,179 +284,22 @@ def _check_assignment(f: Formula, assign: Mapping[str, Value]) -> None:
             raise ValueError(f"unassigned free variable {v!r}")
 
 
-def evaluate(sig: Signature, f: Formula, assign: Mapping[str, Value]) -> bool:
-    """Truth of f under assign in the theory of sig."""
-    _check_assignment(f, assign)
-    return eval_qf(qe(f, sig), assign)
-
-
-def type_key(sig: Signature, values: Sequence[Value]) -> tuple:
-    """The complete type of a value tuple inside one model of the theory.
-
-    For DLO formulas, which carry no constants, this is the order type:
-    the dense rank of each value.  Under an enumerated domain every point
-    is named, so the type is the tuple itself.  Two tuples with the same
-    key satisfy the same formulas, and so does the key itself: the ranks
-    are ordered as the values are.
-    """
-    if not sig.is_dlo:
-        return tuple(values)
-    # over a common denominator the order is that of plain ints, which
-    # compare far faster than Fractions
-    common = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (common // v.denominator) for v in values]
-    order = sorted(range(len(scaled)), key=scaled.__getitem__)
-    key = [0] * len(scaled)
-    rank = 0
-    for prev, i in zip(order, order[1:]):
-        if scaled[i] != scaled[prev]:
-            rank += 1
-        key[i] = rank
-    return tuple(key)
-
-
-def eval_direct(
-    f: Formula, assign: Mapping[str, Value], sig: Signature = DLO
-) -> bool:
-    """Evaluation without quantifier elimination (test oracle).
-
-    A quantified variable is tried at enough points to meet every case.
-    Enumerated domain: each of 0..n-1.  Dense order: one representative
-    per order position relative to the currently assigned values (below
-    all of them, equal to each, between each consecutive pair, above all),
-    or a single point when no value is assigned.
-    """
-    if isinstance(f, (Atom, Truth, Falsity)):
-        return eval_qf(f, assign)
-    if isinstance(f, Not):
-        return not eval_direct(f.body, assign, sig)
-    if isinstance(f, And):
-        return eval_direct(f.lhs, assign, sig) and eval_direct(f.rhs, assign, sig)
-    if isinstance(f, Or):
-        return eval_direct(f.lhs, assign, sig) or eval_direct(f.rhs, assign, sig)
-    if isinstance(f, Implies):
-        return (not eval_direct(f.lhs, assign, sig)) or eval_direct(f.rhs, assign, sig)
-    if isinstance(f, Iff):
-        return eval_direct(f.lhs, assign, sig) == eval_direct(f.rhs, assign, sig)
-    if isinstance(f, (Exists, Forall)):
-        candidates: list[Value]
-        if not sig.is_dlo:
-            assert sig.n is not None
-            candidates = list(range(sig.n))
-        elif not assign:
-            candidates = [Fraction(0)]
-        else:
-            vals = sorted(set(assign.values()))
-            candidates = [vals[0] - 1]
-            for a, b in zip(vals, vals[1:]):
-                candidates.append(a)
-                candidates.append(Fraction(a + b, 2))
-            candidates.append(vals[-1])
-            candidates.append(vals[-1] + 1)
-        inner = dict(assign)
-        results = []
-        for c in candidates:
-            inner[f.var] = c
-            results.append(eval_direct(f.body, inner, sig))
-        return any(results) if isinstance(f, Exists) else all(results)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
-# validity and functional formulas
-# ---------------------------------------------------------------------------
-
-def universal_closure(f: Formula) -> Formula:
-    out = f
-    for v in reversed(free_vars(f)):
-        out = Forall(v, out)
-    return out
-
-
-def is_valid(sig: Signature, f: Formula) -> bool:
-    """Truth of the universal closure of f in the theory."""
-    return eval_qf(qe(universal_closure(f), sig), {})
-
-
-def is_functional(sig: Signature, f: Formula, u: str) -> bool:
-    """Whether f admits at most one u for each choice of its other variables.
-
-    Encoded as validity of  f & f[u := u'] -> u = u'  for a fresh u'.
-    """
-    taken = set(free_vars(f)) | {u}
-    fresh = u + "'"
-    while fresh in taken:
-        fresh += "'"
-    paired = And(f, substitute(f, {u: Var(fresh)}))
-    return is_valid(sig, Implies(paired, Atom(Var(u), "=", Var(fresh))))
-
-
-# ---------------------------------------------------------------------------
-# isolating formulas and small-model closure
+# isolating formulas
 # ---------------------------------------------------------------------------
 
 def isolating_vars(n: int) -> list[str]:
-    """Variable names v1..vn used by isolating_formulas."""
+    """Variable names v1..vn of the isolating formulas."""
     return [f"v{i}" for i in range(1, n + 1)]
 
 
-def _isolating_dlo(n: int) -> list[Formula]:
-    if n == 0:
-        return [TRUE]
-    out: list[Formula] = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product("<=", repeat=n - 1):
-            # one formula per weak ordering: inside an equality run the
-            # variable indices must increase, which picks a single
-            # representative chain for each ordering
-            ok = all(
-                perm[i] < perm[i + 1]
-                for i, s in enumerate(signs)
-                if s == "="
-            )
-            if not ok:
-                continue
-            chain = [
-                Atom(Var(f"v{perm[i]}"), signs[i], Var(f"v{perm[i + 1]}"))
-                for i in range(n - 1)
-            ]
-            out.append(conj_all(chain))
-    return out
-
-
-def _isolating_enum(n_vars: int, domain: int) -> list[Formula]:
-    out = []
-    for combo in itertools.product(range(domain), repeat=n_vars):
-        out.append(
-            conj_all(
-                Atom(Var(f"v{i + 1}"), "=", Const(c)) for i, c in enumerate(combo)
-            )
-        )
-    return out
-
-
-def isolating_formulas(sig: Signature, n: int) -> list[Formula]:
-    """Complete, pairwise exclusive n-variable case split for the theory.
-
-    For a dense linear order there is one formula per weak ordering of
-    v1..vn (a chain of < and = atoms); for FiniteEnum(k) one per assignment
-    of constants to v1..vn.  The empty conjunction (n = 0) is 'true'.
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if sig.is_dlo:
-        return _isolating_dlo(n)
-    assert sig.n is not None
-    return _isolating_enum(n, sig.n)
-
-
 def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
-    """The member of isolating_formulas(sig, len(key)) satisfied by every
-    tuple whose type_key is key.
+    """The member of oracles.isolating_formulas(sig, len(key)) satisfied by
+    every tuple whose oracles.type_key is key.
 
     For a dense linear order the variables are sorted by (rank, index) and
     chained with < between ranks and = inside one, which is the
-    representative _isolating_dlo builds for that weak ordering; for
+    representative oracles._isolating_dlo builds for that weak ordering; for
     FiniteEnum each vi is pinned to its constant.
     """
     if not sig.is_dlo:
@@ -475,15 +315,3 @@ def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
         )
         for i, j in zip(order, order[1:])
     )
-
-
-def definable_in_model(sig: Signature, value: Value, params: Sequence[Value]) -> bool:
-    """Whether a point is definable from parameter points inside one model.
-
-    Order automorphisms of the rationals fix nothing outside the parameter
-    set, so for DLO the value must be one of the parameters; an enumerated
-    domain names every point with a constant, so everything is definable.
-    """
-    if sig.is_dlo:
-        return value in tuple(params)
-    return True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,24 @@ def test_witness(capsys):
     w = witness(r, parse("a < u & u < b"), "u", {"a": "a", "b": "b"})
     assert out == f"{w}\n"
     assert out == "(1/2, 0)\n"
+
+
+def test_witness_past_the_digit_bound_exits_two(capsys, tmp_path):
+    # a and b have 4298-digit denominators and load; their midpoint's
+    # denominator has 8596 digits and could not be printed
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({
+        "theory": "dlo",
+        "atoms": [["w1", "1"]],
+        "elements": {"a": [f"1/{10**4297 + 1}"], "b": [f"1/{10**4297 + 3}"]},
+    }))
+    assert main(["witness", str(p), "b < t & t < a", "t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness value has more than 4300 digits\n"
+    # one past a bound value still prints
+    code, out = run(capsys, "witness", str(p), "a < t", "t")
+    assert (code, out) == (0, f"({Fraction(1, 10**4297 + 1) + 1})\n")
 
 
 # near_thirds.json holds 1/3 and E = 1/3 + 2**-70, which floor(v * 2**64)

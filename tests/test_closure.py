@@ -26,8 +26,8 @@ from randcl import (
     pointwise_max,
     pointwise_min,
 )
-from randcl.closure import _if_less_closure_naive
 from randcl.checks import isolating_event_algebra, random_instance, sample_params
+from randcl.oracles import _if_less_closure_naive
 
 
 def values(elems) -> set:

@@ -22,7 +22,7 @@ from randcl import (
     partition,
 )
 from randcl.checks import random_formula
-from randcl.theory import type_key
+from randcl.oracles import type_key
 
 VARS = ("p", "q", "s")
 

@@ -122,9 +122,87 @@ def test_no_request_enumerates_the_isolating_formulas(command, capsys, monkeypat
     def refuse(*args):
         raise AssertionError("isolating_formulas called")
 
-    for mod in (randcl, randcl.theory):
+    for mod in (randcl, randcl.oracles):
         monkeypatch.setattr(mod, "isolating_formulas", refuse)
     code = main(REQUESTS[command])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_fresh_process_answers_as_in_process(command, capsys):
+    # in process every module is loaded already, so a name that a handler
+    # forgot to import would fail only for a user's fresh process
+    proc = _run(["-m", "randcl.cli", *REQUESTS[command]])
+    code = main(REQUESTS[command])
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """Standard output of a fresh interpreter running code with argv."""
+    proc = _run(["-c", code, *argv])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# the randcl submodules a request loads, printed after its answer
+_LOADED = (
+    "import sys\n"
+    "from randcl.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('randcl.')))\n"
+)
+# every request compiles each module it imports: a subcommand loads only
+# the modules it runs
+NOT_LOADED = {
+    "eval": {"closure", "checks", "oracles"},
+    "witness": {"closure", "checks", "oracles"},
+    "dist": {"closure", "checks", "oracles"},
+    "glue": {"closure", "checks", "oracles"},
+    "dclb": {"checks", "oracles"},
+    "dcl": {"checks", "oracles"},
+    "lcl": {"checks", "oracles"},
+    "isdef": {"checks", "oracles"},
+    "pointwise": {"checks", "oracles"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_a_request_loads_only_the_modules_it_runs(command):
+    out = _fresh(_LOADED, *REQUESTS[command])
+    loaded = set(out.splitlines()[-1].split())
+    assert "randcl.randvar" in loaded
+    assert loaded.isdisjoint(f"randcl.{m}" for m in NOT_LOADED[command])
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, randcl\nprint([m for m in sys.modules if m.startswith('randcl.')])"
+    assert _fresh(code) == "[]\n"
+
+
+def test_every_export_resolves_by_name_and_by_star():
+    code = (
+        "import randcl\n"
+        "for name in randcl.__all__:\n"
+        "    exec(f'from randcl import {name}', {})\n"
+        "star = {}\n"
+        "exec('from randcl import *', star)\n"
+        "print(sorted(set(randcl.__all__) - set(star)))\n"
+    )
+    assert _fresh(code) == "[]\n"
+
+
+def test_dir_submodules_and_unknown_names():
+    code = (
+        "import sys, randcl\n"
+        "print(sorted(set(randcl.__all__) - set(dir(randcl))))\n"
+        "print(randcl.closure is sys.modules['randcl.closure'])\n"
+        "print(randcl.definable_closure is randcl.closure.definable_closure)\n"
+    )
+    assert _fresh(code) == "[]\nTrue\nTrue\n"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        randcl.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from randcl import no_such_name  # noqa: F401

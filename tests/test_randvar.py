@@ -44,8 +44,8 @@ from randcl import (
 )
 from randcl.checks import perturb_element, random_formula, random_instance
 from randcl.closure import _places
+from randcl.oracles import definable_in_model, type_key
 from randcl.randvar import _exact_keys, _int_columns, _type_rows
-from randcl.theory import definable_in_model, type_key
 
 HALF = Fraction(1, 2)
 

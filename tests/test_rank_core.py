@@ -36,8 +36,8 @@ from randcl import (
 )
 from randcl import closure
 from randcl.checks import corpus, perturb_element, random_instance, sample_params
-from randcl.closure import _if_less_closure_naive, _resolve_params
-from randcl.theory import type_key
+from randcl.closure import _resolve_params
+from randcl.oracles import _if_less_closure_naive, type_key
 
 CORPUS_SEED = 20260817  # the acceptance corpus
 

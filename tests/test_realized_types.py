@@ -40,7 +40,8 @@ from randcl.closure import (
     is_definable_by_pinning,
     is_pointwise_definable,
 )
-from randcl.theory import eval_qf, isolating_formula, isolating_vars, type_key
+from randcl.oracles import type_key
+from randcl.theory import eval_qf, isolating_formula, isolating_vars
 
 # ---------------------------------------------------------------------------
 # full-enumeration references

@@ -24,17 +24,16 @@ from randcl import (
     substitute,
 )
 from randcl.checks import _DLO_VALUES, random_formula
-from randcl.theory import (
+from randcl.oracles import (
     definable_in_model,
     eval_direct,
-    eval_qf,
     evaluate,
     is_functional,
     is_valid,
     isolating_formulas,
-    qe,
     universal_closure,
 )
+from randcl.theory import eval_qf, qe
 
 E2 = finite_enum(2)
 E3 = finite_enum(3)
