@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closure import (
+    _fo_definable_on,
+    _places,
     _realized_events,
     _resolve_params,
     definability_report,
     definable_closure,
-    fo_definable_on,
     fo_event_algebra,
     if_less_closure,
 )
@@ -57,6 +58,7 @@ from .measure import (
 from .randvar import (
     RandomElement,
     Randomization,
+    _type_rows,
     differs,
     elem_dist,
     eval_event,
@@ -270,9 +272,16 @@ def _check_metrics(results, r, rng) -> None:
         for _ in range(3)
     ] + [r.partition.top(), r.partition.bottom()]
     ok, detail = True, ""
-    # every ordered pair measured once, each order by its own call
-    de = [[elem_dist(a, b) for b in elems] for a in elems]
-    dv = [[event_dist(x, y) for y in events] for x in events]
+    # every ordered pair measured once, each order by its own call; each
+    # distance is compared as its numerator over the weights' common
+    # denominator, which every probability's denominator divides
+    denom = r.partition._denom
+
+    def num(d: Fraction) -> int:
+        return d.numerator * (denom // d.denominator)
+
+    de = [[num(elem_dist(a, b)) for b in elems] for a in elems]
+    dv = [[num(event_dist(x, y)) for y in events] for x in events]
     for ia, a in enumerate(elems):
         for ib, b in enumerate(elems):
             d = de[ia][ib]
@@ -357,9 +366,13 @@ def _check_closure_routes(results, r, rng) -> None:
         # the membership test against the enumeration: every member is
         # one, and each named element is one exactly when enumerated
         elems, top = _resolve_params(r, A), r.partition.top()
-        ok = all(fo_definable_on(r, c, top, elems) for c in dc) and all(
-            fo_definable_on(r, e, top, elems) == (e.values in vals)
-            for e in r.elements.values()
+        rows = _type_rows(r, tuple(elems))
+
+        def member(b: RandomElement) -> bool:  # fo_definable_on(r, b, top, A)
+            return _fo_definable_on(r, top, rows, _places(r, elems, b))
+
+        ok = all(map(member, dc)) and all(
+            member(e) == (e.values in vals) for e in r.elements.values()
         )
         detail = f"closure membership differs from enumeration for A={A}"
     if ok and r.sig.is_dlo:

@@ -262,7 +262,65 @@ def _cmd_fuzz(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_PARAMS = ("params", {"nargs": "*", "metavar": "PARAM"})
+_ELEM = ("element", {"metavar": "ELEM"})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+
+def _commands() -> dict:
+    """name -> (handler, help text, arguments in order: a name, or a name
+    with add_argument's keywords).  Built on each call, so a handler is
+    looked up when the parser is built."""
+    file_params = ("file", _PARAMS)
+    return {
+        "eval": (_cmd_eval, "event and probability of a formula", ("file", "formula")),
+        "dclb": (
+            _cmd_dclb, "atoms of the parameter-definable event algebra", file_params
+        ),
+        "dcl": (_cmd_closure, "enumerate the definable closure", file_params),
+        "lcl": (
+            _cmd_closure, "closure under if_less (ordered theory only)", file_params
+        ),
+        "isdef": (
+            _cmd_isdef,
+            "run every definability decider on an element",
+            ("file", _ELEM, _PARAMS),
+        ),
+        "pointwise": (
+            _cmd_pointwise, "pointwise-definability event", ("file", _ELEM, _PARAMS)
+        ),
+        "dist": (
+            _cmd_dist,
+            "distance between two elements or two events",
+            ("file", "x", "y"),
+        ),
+        "glue": (
+            _cmd_glue,
+            "combine two elements along an event",
+            ("file", "a", "b", "event"),
+        ),
+        "witness": (
+            _cmd_witness,
+            "deterministic witness for a formula",
+            ("file", "formula", "var"),
+        ),
+        "check": (
+            _cmd_check, "run the cross-check suite on one instance", ("file", _SEED)
+        ),
+        "fuzz": (
+            _cmd_fuzz,
+            "random instances through every cross-check",
+            (("--count", {"type": int, "default": 100}), _SEED),
+        ),
+    }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Given a command name, only that command's
+    subparser is built, each of which costs a parser and a help formatter
+    per argument; the usage line still lists every command, so each
+    message the parser prints reads as the full parser's."""
+    commands = _commands()
     parser = argparse.ArgumentParser(
         prog="randcl",
         description="symbolic engine for finitely presented randomizations",
@@ -273,64 +331,34 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="plain text (default) or JSON output",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, handler, help_text: str):
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(commands) + "}" if command else None,
+    )
+    for name in [command] if command else commands:
+        handler, help_text, arguments = commands[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("eval", _cmd_eval, "event and probability of a formula")
-    p.add_argument("file")
-    p.add_argument("formula")
-
-    for name, handler, help_text in (
-        ("dclb", _cmd_dclb, "atoms of the parameter-definable event algebra"),
-        ("dcl", _cmd_closure, "enumerate the definable closure"),
-        ("lcl", _cmd_closure, "closure under if_less (ordered theory only)"),
-    ):
-        p = cmd(name, handler, help_text)
-        p.add_argument("file")
-        p.add_argument("params", nargs="*", metavar="PARAM")
-
-    for name, handler, help_text in (
-        ("isdef", _cmd_isdef, "run every definability decider on an element"),
-        ("pointwise", _cmd_pointwise, "pointwise-definability event"),
-    ):
-        p = cmd(name, handler, help_text)
-        p.add_argument("file")
-        p.add_argument("element", metavar="ELEM")
-        p.add_argument("params", nargs="*", metavar="PARAM")
-
-    p = cmd("dist", _cmd_dist, "distance between two elements or two events")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = cmd("glue", _cmd_glue, "combine two elements along an event")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("event")
-
-    p = cmd("witness", _cmd_witness, "deterministic witness for a formula")
-    p.add_argument("file")
-    p.add_argument("formula")
-    p.add_argument("var")
-
-    p = cmd("check", _cmd_check, "run the cross-check suite on one instance")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = cmd("fuzz", _cmd_fuzz, "random instances through every cross-check")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
     return parser
 
 
+def _command_of(argv: list[str]) -> str | None:
+    """The command argv names when nothing but --format options come before
+    it, else None: help, an abbreviated option or a missing or unknown
+    command needs the full parser."""
+    i = 0
+    while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
+        i += 2 if argv[i] == "--format" else 1
+    return argv[i] if i < len(argv) and argv[i] in _commands() else None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_command_of(argv)).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -103,6 +103,14 @@ def _realized_events(
     return out
 
 
+def _algebra(r: Randomization, elems: Sequence[RandomElement]) -> EventAlgebra:
+    """fo_event_algebra of resolved parameters."""
+    part = r.partition
+    return EventAlgebra(
+        tuple(Event._trusted(part, frozenset(g)) for g in _group_indices(r, elems))
+    )
+
+
 def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
     """The finite algebra of events definable from the given parameters.
 
@@ -111,15 +119,22 @@ def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
     the groups of atoms by parameter type.  checks.isolating_event_algebra
     builds it independently, from the isolating-formula events.
     """
-    elems = _resolve_params(r, params)
-    return EventAlgebra(
-        tuple(Event(r.partition, frozenset(g)) for g in _group_indices(r, elems))
-    )
+    return _algebra(r, _resolve_params(r, params))
 
 
 # ---------------------------------------------------------------------------
 # pointwise definability
 # ---------------------------------------------------------------------------
+
+def _pointwise_event(r: Randomization, places: Sequence[Value]) -> Event:
+    """pointwise_definable_event, from the element's places (see _places)."""
+    if not r.sig.is_dlo:
+        return r.partition.top()  # constants name every point
+    # some parameter pins the value exactly where its place is even
+    pinned = [p % 2 == 0 for p in places]
+    members = frozenset(itertools.compress(range(len(pinned)), pinned))
+    return Event._trusted(r.partition, members)
+
 
 def pointwise_definable_event(
     r: Randomization, elem: Param, params: ParamSet
@@ -127,12 +142,7 @@ def pointwise_definable_event(
     """Atoms on which the element's value is definable from the parameter
     values inside the fiber model."""
     b = _resolve(r, elem)
-    elems = _resolve_params(r, params)
-    if not r.sig.is_dlo:
-        return r.partition.top()  # constants name every point
-    # some parameter pins the value exactly where its place is even
-    pinned = [p % 2 == 0 for p in _places(r, elems, b)]
-    return Event(r.partition, itertools.compress(range(len(pinned)), pinned))
+    return _pointwise_event(r, _places(r, _resolve_params(r, params), b))
 
 
 def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
@@ -142,6 +152,9 @@ def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> b
 # ---------------------------------------------------------------------------
 # event-local and whole-element deciders
 # ---------------------------------------------------------------------------
+
+# Each public decider resolves its parameters and runs its route on the
+# resolved elements; definability_report resolves them once for all five.
 
 def _places(
     r: Randomization, elems: Sequence[RandomElement], b: RandomElement
@@ -186,11 +199,16 @@ def fo_definable_on(
     """
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    if e.partition != r.partition:
+    if e.partition is not r.partition and e.partition != r.partition:
         raise ValueError("partition mismatch")
+    return _fo_definable_on(r, e, _type_rows(r, tuple(elems)), _places(r, elems, b))
 
-    rows = _type_rows(r, tuple(elems))
-    places = _places(r, elems, b)
+
+def _fo_definable_on(
+    r: Randomization, e: Event, rows: Sequence[tuple], places: Sequence[Value]
+) -> bool:
+    """fo_definable_on, from the parameters' type rows and the element's
+    places (see _places)."""
     # the element's place on each parameter type that e meets
     chosen: dict[tuple, Value] = {}
     for i in e.members:
@@ -207,15 +225,35 @@ def fo_definable_on(
     )
 
 
+def _refines_nothing(
+    r: Randomization,
+    b: RandomElement,
+    elems: list[RandomElement],
+    base: EventAlgebra,
+) -> bool:
+    """Whether adjoining b to the parameters, whose algebra is base, adds
+    no definable event."""
+    refined = _algebra(r, [*elems, b])
+    return all(base.contains(atom) for atom in refined.atoms)
+
+
 def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
     """Element definability: pointwise definable everywhere, and adjoining
     the element refines the parameter event algebra by nothing."""
-    if not is_pointwise_definable(r, elem, params):
-        return False
     b = _resolve(r, elem)
-    base = fo_event_algebra(r, params)
-    refined = fo_event_algebra(r, tuple(params) + (b,))
-    return all(base.contains(atom) for atom in refined.atoms)
+    elems = _resolve_params(r, params)
+    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+        return False
+    return _refines_nothing(r, b, elems, _algebra(r, elems))
+
+
+def _pinned(r: Randomization, b: RandomElement, elems: list[RandomElement]) -> bool:
+    """is_definable_by_pinning on resolved parameters."""
+    agree = [(~differs(b, x)).members for x in elems]
+    return all(
+        any(ev.members <= same for same in agree)
+        for _, ev in _realized_events(r, elems)
+    )
 
 
 def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> bool:
@@ -225,10 +263,20 @@ def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> 
     if not r.sig.is_dlo:
         raise ValueError("pinning decider needs an ordered theory")
     b = _resolve(r, elem)
-    elems = _resolve_params(r, params)
+    return _pinned(r, b, _resolve_params(r, params))
+
+
+def _projections_agree(
+    r: Randomization, b: RandomElement, elems: list[RandomElement]
+) -> bool:
+    """The second condition of is_definable_by_isolating_events, on
+    resolved parameters."""
+    n = len(elems)
+    u = f"v{n + 1}"
+    base_binding = dict(zip(isolating_vars(n), elems))
     return all(
-        any(ev.members <= (~differs(b, x)).members for x in elems)
-        for _, ev in _realized_events(r, elems)
+        ev == eval_event(r, Exists(u, phi), base_binding)
+        for phi, ev in _realized_events(r, elems + [b])
     )
 
 
@@ -239,17 +287,26 @@ def is_definable_by_isolating_events(
     formula of (parameters, element) with positive weight (those of the
     types realized on some atom), the formula's event equals the event of
     its existential projection."""
-    if not is_pointwise_definable(r, elem, params):
-        return False
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    n = len(elems)
-    u = f"v{n + 1}"
-    base_binding = dict(zip(isolating_vars(n), elems))
-    return all(
-        ev == eval_event(r, Exists(u, phi), base_binding)
-        for phi, ev in _realized_events(r, elems + [b])
+    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+        return False
+    return _projections_agree(r, b, elems)
+
+
+def _piecewise(
+    r: Randomization,
+    base: EventAlgebra,
+    rows: Sequence[tuple],
+    places: Sequence[Value],
+) -> tuple[bool, tuple[Event, ...]]:
+    """piecewise_definable, from the parameters' algebra and type rows and
+    the element's places."""
+    family = tuple(
+        atom for atom in base.atoms if _fo_definable_on(r, atom, rows, places)
     )
+    total = sum((ev.prob for ev in family), Fraction(0))
+    return total == 1, family
 
 
 def piecewise_definable(
@@ -262,12 +319,10 @@ def piecewise_definable(
     qualify on its own, so the atoms are checked directly; the returned
     family lists the passing atoms.
     """
-    base = fo_event_algebra(r, params)
-    family = tuple(
-        atom for atom in base.atoms if fo_definable_on(r, elem, atom, params)
-    )
-    total = sum((ev.prob for ev in family), Fraction(0))
-    return total == 1, family
+    elems = _resolve_params(r, params)
+    base = _algebra(r, elems)
+    places = _places(r, elems, _resolve(r, elem))
+    return _piecewise(r, base, _type_rows(r, tuple(elems)), places)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +491,23 @@ class DefinabilityReport(MutableRecord):
 def definability_report(
     r: Randomization, elem: Param, params: ParamSet
 ) -> DefinabilityReport:
-    """Run every applicable definability decider and collect the verdicts."""
+    """Run every applicable definability decider and collect the verdicts.
+
+    The parameters are resolved and deduplicated once; their type rows and
+    event algebra, and the element's places and pointwise event, are built
+    once and shared.  Each decider still runs its own route over them.
+    """
     b = _resolve(r, elem)
+    elems = _resolve_params(r, params)
+    rows = _type_rows(r, tuple(elems))
+    places = _places(r, elems, b)
+    base = _algebra(r, elems)
+    pointwise = _pointwise_event(r, places).is_top()
     paths: dict[str, bool] = {}
-    paths["pointwise_algebra"] = is_definable(r, b, params)
+    paths["pointwise_algebra"] = pointwise and _refines_nothing(r, b, elems, base)
     if r.sig.is_dlo:
-        paths["pinning"] = is_definable_by_pinning(r, b, params)
-    paths["piecewise_family"] = piecewise_definable(r, b, params)[0]
-    paths["isolating_events"] = is_definable_by_isolating_events(r, b, params)
-    paths["closure_member"] = fo_definable_on(r, b, r.partition.top(), params)
+        paths["pinning"] = _pinned(r, b, elems)
+    paths["piecewise_family"] = _piecewise(r, base, rows, places)[0]
+    paths["isolating_events"] = pointwise and _projections_agree(r, b, elems)
+    paths["closure_member"] = _fo_definable_on(r, r.partition.top(), rows, places)
     return DefinabilityReport(paths["pointwise_algebra"], paths)

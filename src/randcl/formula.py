@@ -195,13 +195,20 @@ class Formula(Record):
 
     Each node keeps its hash in ``_hash``, computed when it is built from
     its class and its children's kept hashes, so hashing a tree (the qe
-    cache does on every lookup) costs O(1).
+    cache does on every lookup) costs O(1).  A negation, connective or
+    quantifier node also keeps two answers derived from it, None until
+    first asked for: ``_free``, its free variables (free_vars), and
+    ``_qf``, its quantifier-free form with the signature it was worked out
+    under (theory._qe).  A tree built over subtrees already asked about
+    then costs only its new nodes.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_free", "_qf")
 
-    def __init__(self):
+    def __init__(self):  # true and false
         _set(self, "_hash", hash(self.__class__))
+        _set(self, "_free", ())
+        _set(self, "_qf", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -228,6 +235,8 @@ class Not(Formula):
     def __init__(self, body: Formula):
         _set(self, "body", body)
         _set(self, "_hash", hash((Not, body)))
+        _set(self, "_free", None)
+        _set(self, "_qf", None)
 
 
 class _Binary(Formula):
@@ -237,6 +246,8 @@ class _Binary(Formula):
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
         _set(self, "_hash", hash((self.__class__, lhs, rhs)))
+        _set(self, "_free", None)
+        _set(self, "_qf", None)
 
 
 class And(_Binary):
@@ -262,6 +273,8 @@ class _Quantifier(Formula):
         _set(self, "var", var)
         _set(self, "body", body)
         _set(self, "_hash", hash((self.__class__, var, body)))
+        _set(self, "_free", None)
+        _set(self, "_qf", None)
 
 
 class Exists(_Quantifier):
@@ -290,26 +303,29 @@ FALSE = Falsity()
 # ---------------------------------------------------------------------------
 
 def free_vars(f: Formula) -> tuple[str, ...]:
-    """Free variable names of f, in first-occurrence order."""
-    out: list[str] = []
-    seen: set[str] = set()
+    """Free variable names of f, in first-occurrence order.
 
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for t in (g.lhs, g.rhs):
-                if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-                    seen.add(t.name)
-                    out.append(t.name)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, _Binary):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, _Quantifier):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return tuple(out)
+    Worked out from the children's answers and kept in the node's
+    ``_free``, with one call frame per level of f.
+    """
+    if isinstance(f, Atom):
+        lhs, rhs = f.lhs, f.rhs
+        if not isinstance(lhs, Var):
+            return (rhs.name,) if isinstance(rhs, Var) else ()
+        if isinstance(rhs, Var) and rhs.name != lhs.name:
+            return (lhs.name, rhs.name)
+        return (lhs.name,)
+    out = f._free
+    if out is None:
+        if isinstance(f, Not):
+            out = free_vars(f.body)
+        elif isinstance(f, _Quantifier):
+            out = tuple(v for v in free_vars(f.body) if v != f.var)
+        else:
+            out = free_vars(f.lhs)
+            out += tuple(v for v in free_vars(f.rhs) if v not in out)
+        _set(f, "_free", out)
+    return out
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -334,21 +350,24 @@ def is_quantifier_free(f: Formula) -> bool:
 
 
 def check_signature(f: Formula, sig: Signature) -> None:
-    """Reject formulas using symbols outside sig (raises ValueError)."""
+    """Reject formulas using symbols outside sig (raises ValueError, for
+    the first offending atom from the left)."""
     for g in subformulas(f):
-        if not isinstance(g, Atom):
-            continue
-        if g.rel == "<" and not sig.is_dlo:
-            raise ValueError("'<' not in FiniteEnum signature")
-        for t in (g.lhs, g.rhs):
-            if isinstance(t, Const):
-                if sig.is_dlo:
-                    raise ValueError("constant symbols not in DLO signature")
-                assert sig.n is not None
-                if not 0 <= t.index < sig.n:
-                    raise ValueError(
-                        f"constant c{t.index} not in signature (n = {sig.n})"
-                    )
+        if isinstance(g, Atom):
+            _check_atom(g, sig)
+
+
+def _check_atom(a: Atom, sig: Signature) -> None:
+    """Reject an atom using a symbol outside sig (raises ValueError)."""
+    if sig.is_dlo:
+        if isinstance(a.lhs, Const) or isinstance(a.rhs, Const):
+            raise ValueError("constant symbols not in DLO signature")
+        return
+    if a.rel == "<":
+        raise ValueError("'<' not in FiniteEnum signature")
+    for t in (a.lhs, a.rhs):
+        if isinstance(t, Const) and not 0 <= t.index < sig.n:
+            raise ValueError(f"constant c{t.index} not in signature (n = {sig.n})")
 
 
 def _term_vars(t: Term) -> set[str]:

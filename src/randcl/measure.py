@@ -54,17 +54,23 @@ class Partition(Record):
         _set(self, "_index", index)
         if not atoms:
             raise ValueError("a partition needs at least one atom")
+        # each distinct weight object is read once, keyed by identity, as
+        # randvar._floor_keys reads values: the loader shares one object
+        # among the atoms of a repeated weight string
+        objs = dict(zip(map(id, weights), weights))
+        ratios = list(map(Fraction.as_integer_ratio, objs.values()))
         # every probability's denominator divides the weights' common one,
         # so bounding it keeps every probability printable; it is checked
         # as it grows, so coprime denominators never build a huge one
         denom = 1
-        for d in {w.denominator for w in weights}:
+        for d in {d for _, d in ratios}:
             denom = math.lcm(denom, d)
             if denom >= _TOO_MANY_DIGITS:
                 raise ValueError(
                     f"weights' common denominator has more than {_MAX_DIGITS} digits"
                 )
-        nums = tuple(w.numerator * (denom // w.denominator) for w in weights)
+        num = dict(zip(objs, [n * (denom // d) for n, d in ratios]))
+        nums = tuple(map(num.__getitem__, map(id, weights)))
         if min(nums) <= 0:
             n, w = next((n, w) for n, w in atoms if w <= 0)
             raise ValueError(f"atom {n!r} has nonpositive weight {w}")
@@ -95,10 +101,10 @@ class Partition(Record):
         return Event(self, frozenset(idx))
 
     def top(self) -> Event:
-        return Event(self, frozenset(range(self.size)))
+        return Event._trusted(self, frozenset(range(self.size)))
 
     def bottom(self) -> Event:
-        return Event(self, frozenset())
+        return Event._trusted(self, frozenset())
 
 
 def partition(pairs: Iterable[tuple[str, Fraction | int | str]]) -> Partition:
@@ -116,6 +122,15 @@ class Event(Record):
                 raise ValueError(f"atom index {i!r} out of range")
         _set(self, "partition", partition)
         _set(self, "members", members)
+
+    @classmethod
+    def _trusted(cls, partition: Partition, members: frozenset[int]) -> Event:
+        """An event whose members the engine derived from atom indices of
+        partition, so they need no checking again."""
+        e = object.__new__(cls)
+        _set(e, "partition", partition)
+        _set(e, "members", members)
+        return e
 
     @property
     def prob(self) -> Fraction:
@@ -147,28 +162,29 @@ class Event(Record):
 
 
 def _same_partition(a: Event, b: Event) -> None:
-    if a.partition != b.partition:
+    # events of one space share the partition object: identity settles most
+    if a.partition is not b.partition and a.partition != b.partition:
         raise ValueError("partition mismatch")
 
 
 def meet(a: Event, b: Event) -> Event:
     _same_partition(a, b)
-    return Event(a.partition, a.members & b.members)
+    return Event._trusted(a.partition, a.members & b.members)
 
 
 def join(a: Event, b: Event) -> Event:
     _same_partition(a, b)
-    return Event(a.partition, a.members | b.members)
+    return Event._trusted(a.partition, a.members | b.members)
 
 
 def complement(a: Event) -> Event:
-    return Event(a.partition, frozenset(range(a.partition.size)) - a.members)
+    return Event._trusted(a.partition, frozenset(range(a.partition.size)) - a.members)
 
 
 def event_dist(a: Event, b: Event) -> Fraction:
     """Probability of the symmetric difference."""
     _same_partition(a, b)
-    return Event(a.partition, a.members ^ b.members).prob
+    return Event._trusted(a.partition, a.members ^ b.members).prob
 
 
 class EventAlgebra(Record):

@@ -19,10 +19,11 @@ from typing import Mapping, Sequence
 from .closure import (
     ParamSet,
     _assemble,
+    _fo_definable_on,
     _group_indices,
     _group_restrictions,
+    _places,
     _resolve_params,
-    fo_definable_on,
 )
 from .formula import (
     DLO,
@@ -232,7 +233,7 @@ def definable_in_model(sig: Signature, value: Value, params: Sequence[Value]) ->
 def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
     """Every element carved out everywhere by a functional formula over the
     parameters; enumerated independently of definable_closure by filtering
-    a sound candidate pool through fo_definable_on.
+    a sound candidate pool through fo_definable_on's rule.
 
     The pool: under DLO every value some parameter takes, on each atom on
     its own; under an enumerated domain every constant on each type group.
@@ -247,11 +248,13 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
     else:
         return []
     per_group = _group_restrictions(r, elems, groups)
-    top = r.partition.top()
+    # the parameters are resolved once, and each candidate runs only
+    # fo_definable_on's own rule
+    top, rows = r.partition.top(), _type_rows(r, tuple(elems))
     return [
         b
         for b in _assemble(r, groups, itertools.product(*per_group))
-        if fo_definable_on(r, b, top, elems)
+        if _fo_definable_on(r, top, rows, _places(r, elems, b))
     ]
 
 

@@ -100,7 +100,8 @@ def _element_texts(elems: Sequence[RandomElement]) -> list[str]:
 class Randomization(MutableRecord):
     """A theory, a weighted partition, and named random elements.
 
-    _last_type_rows is _type_rows's cache, left out of == and repr.
+    _last_type_rows is _type_rows's cache of two entries, left out of ==
+    and repr.
     """
 
     __slots__ = ("sig", "partition", "elements", "_last_type_rows")
@@ -114,7 +115,7 @@ class Randomization(MutableRecord):
         self.sig = sig
         self.partition = partition
         self.elements = {} if elements is None else elements
-        self._last_type_rows: tuple[tuple[RandomElement, ...], list[tuple]] = ((), [])
+        self._last_type_rows: list[tuple[tuple[RandomElement, ...], list[tuple]]] = []
         for name, e in self.elements.items():
             if e.sig != sig or e.partition != partition:
                 raise ValueError(f"element {name!r} built for a different space")
@@ -152,7 +153,10 @@ def _resolve(r: Randomization, p: str | RandomElement) -> RandomElement:
     to r's space."""
     if isinstance(p, str):
         return r.element(p)
-    if p.sig != r.sig or p.partition != r.partition:
+    # elements of one space share these objects, so identity settles most
+    if (p.sig is not r.sig and p.sig != r.sig) or (
+        p.partition is not r.partition and p.partition != r.partition
+    ):
         raise ValueError("element built for a different space")
     return p
 
@@ -226,19 +230,21 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     per distinct tuple of their integer columns (see _int_columns).
 
     The deciders evaluate thousands of formulas over one element tuple, so
-    r keeps the rows of the last tuple asked for (one entry; elements are
-    immutable, so an equal tuple has the same rows).
+    r keeps the rows of the last two tuples asked for: a decider over the
+    parameters and an element asks for the rows of both the parameters
+    and the parameters with the element.  Elements are immutable, so an
+    equal tuple has the same rows.
     """
     if not elems:
         return [()] * r.partition.size
-    cached, rows = r._last_type_rows
-    if cached == elems:
-        return rows
+    for cached, rows in r._last_type_rows:
+        if cached == elems:
+            return rows
     rows = list(zip(*_int_columns(r.sig, elems)))
     if r.sig.is_dlo:
         key = {t: _dense_ranks(t) for t in set(rows)}
         rows = list(map(key.__getitem__, rows))
-    r._last_type_rows = (elems, rows)
+    r._last_type_rows = [*r._last_type_rows[-1:], (elems, rows)]
     return rows
 
 
@@ -275,14 +281,16 @@ def eval_event(
     bound = {v: _resolve(r, p) for v, p in binding.items()}
     _check_assignment(f, bound)
     holds = _per_type(r, bound, decide)
-    return Event(r.partition, frozenset(compress(range(len(holds)), holds)))
+    members = frozenset(compress(range(len(holds)), holds))
+    return Event._trusted(r.partition, members)
 
 
 def differs(a: RandomElement, b: RandomElement) -> Event:
     """The event on which a and b take different values."""
     _compatible(a, b)
     xs, ys = _int_columns(a.sig, (a, b))
-    return Event(a.partition, frozenset(compress(range(len(xs)), map(ne, xs, ys))))
+    members = frozenset(compress(range(len(xs)), map(ne, xs, ys)))
+    return Event._trusted(a.partition, members)
 
 
 def elem_dist(a: RandomElement, b: RandomElement) -> Fraction:

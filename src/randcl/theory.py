@@ -34,13 +34,15 @@ from .formula import (
     Term,
     Truth,
     Var,
-    check_signature,
+    _check_atom,
     free_vars,
     is_quantifier_free,
     subformulas,
 )
 
 Value = Fraction | int
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +210,29 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
 
 
 def _qe(f: Formula, sig: Signature) -> Formula:
+    """qe's recursion.  Each atom is checked against sig as it is reached,
+    left to right, so one pass both checks and eliminates.  A composite
+    node's result is kept in its ``_qf`` with sig and returned from there
+    when asked again under sig, before any recursion; the lookup is inline,
+    so the recursion still takes one frame per level."""
     if isinstance(f, Atom):
+        _check_atom(f, sig)
         return _atom(f.lhs, f.rel, f.rhs)
     if isinstance(f, (Truth, Falsity)):
         return f
+    kept = getattr(f, "_qf", None)
+    if kept is not None and (kept[0] is sig or kept[0] == sig):
+        return kept[1]
     if isinstance(f, Not):
-        return _not(_qe(f.body, sig))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _FOLD[type(f)](_qe(f.lhs, sig), _qe(f.rhs, sig))
-    if isinstance(f, (Exists, Forall)):
-        return _eliminate(sig, f.var, _qe(f.body, sig), isinstance(f, Exists))
-    raise TypeError(f"not a formula: {f!r}")
+        out = _not(_qe(f.body, sig))
+    elif isinstance(f, (Exists, Forall)):
+        out = _eliminate(sig, f.var, _qe(f.body, sig), isinstance(f, Exists))
+    elif type(f) in _FOLD:
+        out = _FOLD[type(f)](_qe(f.lhs, sig), _qe(f.rhs, sig))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    _set(f, "_qf", (sig, out))
+    return out
 
 
 # fixed bound on remembered qe results, so a long-lived process (a long
@@ -237,7 +251,6 @@ def qe(f: Formula, sig: Signature = DLO) -> Formula:
     test points (Ferrante & Rackoff; Loos & Weispfenning), with no normal
     form in between.
     """
-    check_signature(f, sig)
     out = _qe(f, sig)
     assert is_quantifier_free(out)
     return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -334,6 +335,49 @@ def test_deeply_nested_formula_exit_two(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: input nested too deeply to process\n"
+
+
+def test_long_conjunction_evaluates(capsys):
+    # the per-node qe answers are looked up inside qe's own recursion, so
+    # they add no call frame per level
+    code = main(["eval", SWAP, " & ".join(["a < b"] * 900)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "{w1}, probability = 1/2\n"
+
+
+# randcl's help and usage errors, captured from the parser that built every
+# subcommand, with COLUMNS=80 on Python 3.11
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def _parser_run(capsys, parse) -> tuple[object, str, str]:
+    try:
+        code = parse()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse's wording and layout differ between Python versions",
+)
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "-")
+def test_parser_messages_are_the_golden_ones(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parser_run(capsys, lambda: main(case["argv"]))
+    assert got == (case["code"], case["out"], case["err"])
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "-")
+def test_parser_of_one_command_prints_as_the_full_parser(case, capsys, monkeypatch):
+    from randcl.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parser_run(capsys, lambda: build_parser().parse_args(case["argv"]))
+    assert _parser_run(capsys, lambda: main(case["argv"])) == full
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):

@@ -19,6 +19,8 @@ from randcl import (
     Or,
     ParseError,
     Var,
+    Falsity,
+    Truth,
     check_signature,
     finite_enum,
     free_vars,
@@ -139,6 +141,38 @@ def test_free_vars_order():
     assert free_vars(parse("b < a & a < b")) == ("b", "a")
     assert free_vars(parse("exists u. a < u")) == ("a",)
     assert free_vars(parse("forall u. exists v. u < v")) == ()
+
+
+def _free_vars_walk(f) -> tuple[str, ...]:
+    """free_vars's first-occurrence rule as one walk of the whole tree."""
+    out: dict[str, None] = {}
+
+    def walk(g, bound: frozenset) -> None:
+        if isinstance(g, Atom):
+            for t in (g.lhs, g.rhs):
+                if isinstance(t, Var) and t.name not in bound:
+                    out.setdefault(t.name)
+        elif isinstance(g, Not):
+            walk(g.body, bound)
+        elif isinstance(g, (Exists, Forall)):
+            walk(g.body, bound | {g.var})
+        elif not isinstance(g, (Truth, Falsity)):
+            walk(g.lhs, bound)
+            walk(g.rhs, bound)
+
+    walk(f, frozenset())
+    return tuple(out)
+
+
+def test_free_vars_kept_per_node_match_one_walk():
+    rng = random.Random(5)
+    for _ in range(200):
+        f = random_formula(rng, DLO, ("a", "b", "u"), quantifiers=2)
+        g = random_formula(rng, DLO, ("b", "c", "v"), quantifiers=2)
+        free_vars(f), free_vars(g)  # fills the kept answers of both trees
+        for h in (f, g, And(g, f), Or(f, Not(g)), Exists("b", And(f, g))):
+            assert free_vars(h) == _free_vars_walk(h)
+            assert free_vars(h) == free_vars(h)
 
 
 def test_substitute_simple():

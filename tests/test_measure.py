@@ -48,6 +48,30 @@ def test_weights_must_be_positive():
         partition([("w1", "0"), ("w2", "1")])
 
 
+def test_shared_weight_objects_give_each_atom_its_numerator():
+    # the loader shares one object among the atoms of a repeated weight;
+    # equal weights held by distinct objects must read the same
+    quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+    ws = [quarter, eighth, quarter, Fraction(1, 4), Fraction(1, 8)]
+    p = Partition((f"w{i}", w) for i, w in enumerate(ws))
+    assert p._denom == 8
+    assert p._nums == (2, 1, 2, 2, 1)
+    assert p.event([0, 3, 4]).prob == Fraction(5, 8)
+
+
+def test_weight_errors_name_the_first_bad_atom_among_shared_objects():
+    third, neg = Fraction(1, 3), Fraction(-1, 3)
+    with pytest.raises(ValueError, match="atom 'w2' has nonpositive weight -1/3"):
+        Partition(
+            [("w1", third), ("w2", neg), ("w3", third), ("w4", neg), ("w5", 2 * third)]
+        )
+    zero = Fraction(0)
+    with pytest.raises(ValueError, match="atom 'w1' has nonpositive weight 0"):
+        Partition([("w0", Fraction(1)), ("w1", zero), ("w2", zero)])
+    with pytest.raises(ValueError, match="weights sum to 4/3"):
+        Partition([(f"w{i}", third) for i in range(4)])
+
+
 def test_atom_names_unique():
     with pytest.raises(ValueError, match="duplicate"):
         partition([("w", "1/2"), ("w", "1/2")])

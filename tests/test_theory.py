@@ -94,6 +94,66 @@ def test_qe_cache_is_bounded():
     assert maxsize is not None and 0 < maxsize < 10**6
 
 
+def test_qe_of_a_tree_over_eliminated_parts_eliminates_nothing(monkeypatch):
+    import randcl.theory
+
+    qe.cache_clear()  # so that qe works on these very nodes
+    f = parse("exists u. a < u & u < b")
+    g = parse("forall v. v < a | b < v | v = c")
+    qf, qg = qe(f), qe(g)
+    calls = []
+    eliminate = randcl.theory._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(randcl.theory, "_eliminate", counted)
+    assert qe(And(f, g)) == And(qf, qg)
+    assert qe(Not(f)) == Not(qf)
+    assert calls == []
+    # a node keeps its answer for one signature only: another one is
+    # worked out afresh
+    h = parse("exists u. a = u & ~(u = b)", E2)
+    qe(h, DLO)
+    assert len(calls) == 1
+    assert qe(h, E2) != qe(h, DLO)
+    assert len(calls) == 2
+
+
+def _mixed(*parts: str):
+    """The conjunction of the parts, each parsed under a signature that
+    accepts it (constants under enum(10), '<' under DLO)."""
+    out = None
+    for text in parts:
+        g = parse(text, DLO if "<" in text else finite_enum(10))
+        out = g if out is None else And(out, g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "f, n, message",
+    [
+        (_mixed("x = a", "a < b", "a = c7"), 2, "'<' not in FiniteEnum signature"),
+        (_mixed("x = a", "a = c7", "a < b"), 2, "constant c7 not in signature (n = 2)"),
+        (Exists("u", _mixed("u = x | a = c5", "a < u")), 3, "constant c5"),
+    ],
+)
+def test_signature_error_is_raised_first_and_names_the_first_atom(f, n, message):
+    from randcl import Randomization, check_signature, eval_event, partition
+
+    with pytest.raises(ValueError) as expected:
+        check_signature(f, finite_enum(n))
+    # x is unbound too; the signature error still comes first
+    r = Randomization.build(
+        finite_enum(n), partition([("w1", "1")]), {"a": [0], "b": [1]}
+    )
+    with pytest.raises(ValueError) as got:
+        eval_event(r, f, {"a": "a", "b": "b"})
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(message)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
