@@ -12,8 +12,8 @@ check stays brute-forceable.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .closure import (
     _fo_definable_on,

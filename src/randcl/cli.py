@@ -21,9 +21,10 @@ violation or internal error.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from .formula import free_vars, parse
 from .measure import Event, event_dist
@@ -315,11 +316,13 @@ def _commands() -> dict:
     }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Given a command name, only that command's
+def build_parser(command: str | None = None):
+    """The argparse parser.  Given a command name, only that command's
     subparser is built, each of which costs a parser and a help formatter
     per argument; the usage line still lists every command, so each
     message the parser prints reads as the full parser's."""
+    import argparse
+
     commands = _commands()
     parser = argparse.ArgumentParser(
         prog="randcl",
@@ -356,9 +359,63 @@ def _command_of(argv: list[str]) -> str | None:
     return argv[i] if i < len(argv) and argv[i] in _commands() else None
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain argv, read from _commands() without
+    argparse, whose import and parser cost a few ms per request; None for
+    any other argv, which the parser then reads, so every help, usage and
+    error message is argparse's.
+
+    Plain is an optional leading ``--format text|structured``, a command
+    name and exactly the command's positionals (PARAM any number of
+    times), none of which starts with '-'; among them ``--seed N`` or
+    ``--count N`` where the command takes it, with N not starting with '-'
+    and read by int(), as argparse reads it.
+    """
+    fmt = "text"
+    if argv[:1] == ["--format"] and argv[1:2] in (["text"], ["structured"]):
+        fmt, argv = argv[1], argv[2:]
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    handler, _, arguments = commands[argv[0]]
+    args = {"format": fmt, "command": argv[0], "handler": handler}
+    flags, names, repeated, words = {}, [], None, []
+    for arg in arguments:
+        name, options = (arg, {}) if isinstance(arg, str) else arg
+        if name.startswith("--"):
+            flags[name] = options["type"]
+            args[name[2:]] = options["default"]
+        elif options.get("nargs") == "*":
+            repeated = name
+        else:
+            names.append(name)
+    rest = iter(argv[1:])
+    for word in rest:
+        if word in flags:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[word[2:]] = flags[word](value)
+            except ValueError:
+                return None
+        elif word.startswith("-"):
+            return None
+        else:
+            words.append(word)
+    if len(words) < len(names) or (repeated is None and len(words) > len(names)):
+        return None
+    args.update(zip(names, words))
+    if repeated is not None:
+        args[repeated] = words[len(names) :]
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(_command_of(argv)).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser(_command_of(argv)).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:
@@ -373,5 +430,17 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The randcl program (``python -m randcl.cli``, the ``randcl``
+    script): main on sys.argv, then exit with its code.  Every object still
+    alive is frozen first (gc.freeze), so the collections the interpreter
+    runs as it shuts down skip them and the operating system takes back
+    their memory, which is a sizeable share of a short request's time.
+    Output is flushed and exit handlers run as before."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

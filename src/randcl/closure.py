@@ -14,9 +14,9 @@ with are in oracles.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
 
 from .formula import Exists, Formula, MutableRecord
 from .measure import Event, EventAlgebra

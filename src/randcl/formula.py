@@ -24,8 +24,8 @@ constants ``c0 .. c{n-1}``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping
 from operator import attrgetter
-from typing import Iterator, Mapping
 
 
 class ParseError(ValueError):

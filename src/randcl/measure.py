@@ -8,8 +8,8 @@ distance, generated subalgebras, refinement) stays in exact arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .formula import Record
 
@@ -31,14 +31,12 @@ def as_fraction(v: object) -> Fraction:
 
 
 class Partition(Record):
-    # derived from atoms: _index maps atom name -> index; _denom is the
-    # weights' common denominator and _nums their numerators over it, so
-    # sums of weights are integer sums
-    __slots__ = ("atoms", "_index", "_denom", "_nums")
+    # derived from atoms: _names and _index (atom name -> index) in atom
+    # order; _denom is the weights' common denominator and _nums their
+    # numerators over it, so sums of weights are integer sums
+    __slots__ = ("atoms", "_names", "_index", "_denom", "_nums")
 
     def __init__(self, atoms: Iterable[tuple[str, Fraction | int | str]]):
-        # checked over whole columns at once; a failing check scans the
-        # atoms in order, so the first bad one is the one named
         atoms = tuple(atoms)
         names, weights = zip(*atoms, strict=True) if atoms else ((), ())
         if set(map(type, names)) != {str} or set(map(type, weights)) != {Fraction}:
@@ -46,13 +44,25 @@ class Partition(Record):
             weights = tuple(
                 w if type(w) is Fraction else as_fraction(w) for w in weights
             )
-        atoms = tuple(zip(names, weights))
+        self._fill(names, weights)
+
+    @classmethod
+    def _of_columns(
+        cls, names: tuple[str, ...], weights: tuple[Fraction, ...]
+    ) -> Partition:
+        """The partition whose atom i is (names[i], weights[i]), from a
+        str column and a Fraction column such as the loader builds."""
+        p = object.__new__(cls)
+        p._fill(names, weights)
+        return p
+
+    def _fill(self, names: tuple[str, ...], weights: tuple[Fraction, ...]) -> None:
+        # checked over whole columns at once; a failing check scans the
+        # atoms in order, so the first bad one is the one named
         index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             raise ValueError("duplicate atom names")
-        _set(self, "atoms", atoms)
-        _set(self, "_index", index)
-        if not atoms:
+        if not names:
             raise ValueError("a partition needs at least one atom")
         # each distinct weight object is read once, keyed by identity, as
         # randvar._floor_keys reads values: the loader shares one object
@@ -70,12 +80,15 @@ class Partition(Record):
                     f"weights' common denominator has more than {_MAX_DIGITS} digits"
                 )
         num = dict(zip(objs, [n * (denom // d) for n, d in ratios]))
-        nums = tuple(map(num.__getitem__, map(id, weights)))
-        if min(nums) <= 0:
-            n, w = next((n, w) for n, w in atoms if w <= 0)
+        if min(num.values()) <= 0:
+            n, w = next((n, w) for n, w in zip(names, weights) if w <= 0)
             raise ValueError(f"atom {n!r} has nonpositive weight {w}")
+        nums = tuple(map(num.__getitem__, map(id, weights)))
         if sum(nums) != denom:
             raise ValueError(f"weights sum to {Fraction(sum(nums), denom)}")
+        _set(self, "atoms", tuple(zip(names, weights)))
+        _set(self, "_names", names)
+        _set(self, "_index", index)
         _set(self, "_denom", denom)
         _set(self, "_nums", nums)
 
@@ -85,7 +98,7 @@ class Partition(Record):
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._index)  # built in atom order
+        return self._names
 
     def weight(self, i: int) -> Fraction:
         return self.atoms[i][1]

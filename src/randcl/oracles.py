@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .closure import (
     ParamSet,

@@ -16,10 +16,10 @@ floating point ever touches an instance file.
 from __future__ import annotations
 
 import json
+import os
 import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Sequence
 
 from .formula import DLO, Signature, finite_enum
 from .measure import _MAX_DIGITS, Partition
@@ -86,13 +86,13 @@ def _fractions(
     objects, so equal entries share one value.  A bad entry raises, naming
     the first in file order.
     """
-    if set(map(type, raws)) <= {str}:
-        try:
-            memo.update({s: _fraction(s) for s in set(raws).difference(memo)})
-        except ValueError:
-            pass  # the scan below names the first bad entry
-        else:
+    try:
+        distinct = set(raws)  # an unhashable entry (a list) raises TypeError
+        if set(map(type, distinct)) <= {str}:
+            memo.update({s: _fraction(s) for s in distinct.difference(memo)})
             return tuple(map(memo.__getitem__, raws))
+    except (TypeError, ValueError):
+        pass  # the scan below names the first bad entry
     return tuple(_parse_fraction(raw, what(i), memo) for i, raw in enumerate(raws))
 
 
@@ -103,7 +103,7 @@ def _parse_atoms(raw: object, memo: dict[str, Fraction]) -> Partition:
         names, ws = zip(*raw)
         if set(map(type, names)) == {str}:
             weights = _fractions(ws, lambda i: f"weight of atom {names[i]!r}", memo)
-            return Partition(zip(names, weights))
+            return Partition._of_columns(names, weights)
     # some entry is malformed: scan in file order to name the first
     pairs = []
     for entry in raw:
@@ -143,7 +143,11 @@ def from_payload(payload: object) -> Randomization:
         else:
             bad = next(v for v in vals if type(v) is not int)
             raise ValueError(f"element {name!r} values must be integers, got {bad!r}")
-    return Randomization.build(sig, part, elements)
+    # every value is parsed before any element is built, so a bad value is
+    # named before a wrong count; DLO values are the loader's own Fractions
+    build = RandomElement._of_fractions if sig.is_dlo else RandomElement
+    built = {name: build(sig, part, vals) for name, vals in elements.items()}
+    return Randomization(sig, part, built)
 
 
 def _values_payloads(elems: Sequence[RandomElement]) -> list[list]:
@@ -172,12 +176,20 @@ def loads(text: str) -> Randomization:
     return from_payload(payload)
 
 
-def load(path: str | Path) -> Randomization:
-    p = Path(path)
+def load(path: str | os.PathLike) -> Randomization:
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {p}: {exc.strerror or exc}") from None
+        with open(path) as fh:
+            text = fh.read()
+    except OSError:
+        # pathlib, imported only here, reads a few spellings open() refuses
+        # ('' as '.', a trailing slash dropped) and words the error
+        from pathlib import Path
+
+        p = Path(path)
+        try:
+            text = p.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read {p}: {exc.strerror or exc}") from None
     return loads(text)
 
 
@@ -185,5 +197,6 @@ def dumps(r: Randomization) -> str:
     return json.dumps(to_payload(r), indent=2) + "\n"
 
 
-def dump(r: Randomization, path: str | Path) -> None:
-    Path(path).write_text(dumps(r))
+def dump(r: Randomization, path: str | os.PathLike) -> None:
+    with open(path, "w") as fh:
+        fh.write(dumps(r))

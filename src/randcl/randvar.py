@@ -9,11 +9,11 @@ and the deterministic witness builder.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import compress
 from operator import itemgetter, ne
-from typing import Callable, Mapping, Sequence
 
 from .formula import (
     Exists,
@@ -33,10 +33,7 @@ class RandomElement(Record):
     __slots__ = ("sig", "partition", "values", "_keys")
 
     def __init__(self, sig: Signature, partition: Partition, values: Sequence[Value]):
-        if len(values) != partition.size:
-            raise ValueError(
-                f"element has {len(values)} values for {partition.size} atoms"
-            )
+        _check_count(values, partition)
         # checked over the whole tuple at once; only a tuple that fails is
         # scanned value by value, so the first bad value is the one named
         vals = tuple(values)
@@ -72,8 +69,22 @@ class RandomElement(Record):
         _set(e, "_keys", None)
         return e
 
+    @classmethod
+    def _of_fractions(
+        cls, sig: Signature, partition: Partition, values: tuple[Fraction, ...]
+    ) -> RandomElement:
+        """A DLO element of a tuple of Fractions, such as the loader
+        builds: only the count of values is checked."""
+        _check_count(values, partition)
+        return cls._trusted(sig, partition, values)
+
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.values)) + ")"
+
+
+def _check_count(values: Sequence[Value], partition: Partition) -> None:
+    if len(values) != partition.size:
+        raise ValueError(f"element has {len(values)} values for {partition.size} atoms")
 
 
 def _value_texts(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:

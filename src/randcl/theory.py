@@ -11,9 +11,9 @@ list of isolating formulas) are in oracles.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
 
 from .formula import (
     DLO,
@@ -242,6 +242,12 @@ _QE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_QE_CACHE_SIZE)
+def _cached_qe(f: Formula, sig: Signature) -> Formula:
+    out = _qe(f, sig)
+    assert is_quantifier_free(out)
+    return out
+
+
 def qe(f: Formula, sig: Signature = DLO) -> Formula:
     """Quantifier-free equivalent of f in the theory of sig.
 
@@ -249,11 +255,18 @@ def qe(f: Formula, sig: Signature = DLO) -> Formula:
     innermost-out: each quantifier's body is first made quantifier-free,
     then the quantifier is replaced by the body's truth at finitely many
     test points (Ferrante & Rackoff; Loos & Weispfenning), with no normal
-    form in between.
+    form in between.  Answers are cached by structure (qe.cache_info,
+    qe.cache_clear) and kept on f's own node, so a tree later built over
+    f, equal to a cached formula or not, does not eliminate f again.
     """
-    out = _qe(f, sig)
-    assert is_quantifier_free(out)
+    out = _cached_qe(f, sig)
+    if not isinstance(f, (Atom, Truth, Falsity)):
+        _set(f, "_qf", (sig, out))  # a cache hit did not run _qe on f
     return out
+
+
+qe.cache_info = _cached_qe.cache_info
+qe.cache_clear = _cached_qe.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +275,24 @@ def qe(f: Formula, sig: Signature = DLO) -> Formula:
 
 def eval_qf(f: Formula, assign: Mapping[str, Value]) -> bool:
     """Evaluate a quantifier-free formula under a variable assignment."""
-
-    def value(t: Term) -> Value:
-        if isinstance(t, Const):
-            return t.index
-        try:
-            return assign[t.name]
-        except KeyError:
-            raise ValueError(f"unassigned free variable {t.name!r}") from None
-
     if isinstance(f, Atom):
-        a, b = value(f.lhs), value(f.rhs)
+        lhs, rhs = f.lhs, f.rhs
+        try:
+            a = lhs.index if isinstance(lhs, Const) else assign[lhs.name]
+            b = rhs.index if isinstance(rhs, Const) else assign[rhs.name]
+        except KeyError as exc:
+            raise ValueError(f"unassigned free variable {exc.args[0]!r}") from None
         return a < b if f.rel == "<" else a == b
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Falsity):
-        return False
-    if isinstance(f, Not):
-        return not eval_qf(f.body, assign)
     if isinstance(f, And):
         return eval_qf(f.lhs, assign) and eval_qf(f.rhs, assign)
     if isinstance(f, Or):
         return eval_qf(f.lhs, assign) or eval_qf(f.rhs, assign)
+    if isinstance(f, Not):
+        return not eval_qf(f.body, assign)
+    if isinstance(f, Truth):
+        return True
+    if isinstance(f, Falsity):
+        return False
     if isinstance(f, Implies):
         return (not eval_qf(f.lhs, assign)) or eval_qf(f.rhs, assign)
     if isinstance(f, Iff):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcl import (
     definable_closure,
@@ -16,7 +18,7 @@ from randcl import (
     parse,
     witness,
 )
-from randcl.cli import main
+from randcl.cli import _commands, _plain_args, build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SWAP = str(SAMPLES / "swap_pair.json")
@@ -373,11 +375,46 @@ def test_parser_messages_are_the_golden_ones(case, capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "-")
 def test_parser_of_one_command_prints_as_the_full_parser(case, capsys, monkeypatch):
-    from randcl.cli import build_parser
-
     monkeypatch.setenv("COLUMNS", "80")
     full = _parser_run(capsys, lambda: build_parser().parse_args(case["argv"]))
     assert _parser_run(capsys, lambda: main(case["argv"])) == full
+
+
+# words an argv is drawn from: every command, the options and their
+# values, abbreviations, negative numbers, separators and file names
+_WORDS = [*_commands(), "--format", "text", "structured", "bad", "--count", "--seed"]
+_WORDS += ["--seed=3", "-5", "5", "", "--", "-h", "--form", "f.json", "x y"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(_WORDS), max_size=2),
+    command=st.sampled_from([*_commands(), "bogus"]),
+    tail=st.lists(st.sampled_from(_WORDS), max_size=6),
+)
+def test_plain_args_are_argparse_s_or_none(head, command, tail):
+    argv = [*head, command, *tail]
+    plain = _plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "f.json", "a < b"],
+        ["--format", "structured", "isdef", "f.json", "e"],
+        ["dcl", "f.json", "a", "b", "c"],
+        ["check", "--seed", "3", "f.json"],
+        ["check", "f.json", "--seed", "+7"],
+        ["fuzz", "--count", "2", "--seed", "1", "--count", "5"],
+        ["fuzz"],
+    ],
+)
+def test_plain_argv_skips_argparse(argv):
+    plain = _plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(build_parser().parse_args(argv))
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):

@@ -273,3 +273,35 @@ def test_partition_entry_of_wrong_length_is_refused():
         Partition([("w1", HALF), ("w2", HALF, "extra")])
     with pytest.raises(ValueError):
         Partition([("w1", HALF), ("w2",)])
+
+
+# the loader's columns: each pair of (names, weights) columns, and the
+# error the atoms they make are refused with, None if they are accepted
+COLUMNS = [
+    (("w1", "w2", "w3"), (HALF, Fraction(1, 4), Fraction(1, 4)), None),
+    (("w1", "w2", "w1"), (HALF, Fraction(1, 4), Fraction(1, 4)), "duplicate atom"),
+    ((), (), "a partition needs at least one atom"),
+    (("a", "b", "c"), (HALF, Fraction(-1, 4), Fraction(0)), "atom 'b' has nonpositive"),
+    (("a", "b"), (HALF, Fraction(1, 3)), "weights sum to 5/6"),
+    (("a", "b"), (Fraction(1, 3**9100), 1 - Fraction(1, 3**9100)), "denominator"),
+]
+
+
+@pytest.mark.parametrize("names, weights, error", COLUMNS)
+def test_partition_of_columns_is_the_partition_of_its_atoms(names, weights, error):
+    def built(make):
+        try:
+            return make()
+        except ValueError as exc:
+            return str(exc)
+
+    by_columns = built(lambda: Partition._of_columns(names, weights))
+    by_atoms = built(lambda: Partition(zip(names, weights)))
+    if error is not None:
+        assert by_columns == by_atoms
+        assert error in by_columns
+        return
+    assert by_columns == by_atoms and repr(by_columns) == repr(by_atoms)
+    assert by_columns._nums == by_atoms._nums and by_columns._denom == by_atoms._denom
+    assert by_columns.names == names
+    assert by_columns.names is by_columns.names  # kept, not rebuilt per call

@@ -59,6 +59,18 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_typing_or_pathlib():
+    # without site, which may load both itself: a request that imports
+    # every module a subcommand can run loads neither
+    code = (
+        "import sys, randcl.cli, randcl.closure, randcl.checks; "
+        "print(sorted(m for m in ('typing', 'pathlib') if m in sys.modules))"
+    )
+    proc = _run(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_help_exits_zero():
     proc = _run(["-m", "randcl.cli", "--help"])
     assert proc.returncode == 0, proc.stderr
@@ -140,6 +152,24 @@ def test_fresh_process_answers_as_in_process(command, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
+# requests that end with another exit code than 0
+FAILING = {
+    "false verdict": ["isdef", SWAP, "b", "a", "hi"],
+    "missing file": ["eval", str(ROOT / "absent.json"), "a < b"],
+    "parse error": ["--format", "structured", "eval", SWAP, "a <"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_fresh_process_exits_as_in_process(case, capsys):
+    # run() exits with main's code, after its output
+    proc = _run(["-m", "randcl.cli", *FAILING[case]])
+    code = main(FAILING[case])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
 def _fresh(code: str, *argv: str) -> str:
     """Standard output of a fresh interpreter running code with argv."""
     proc = _run(["-c", code, *argv])
@@ -147,12 +177,12 @@ def _fresh(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-# the randcl submodules a request loads, printed after its answer
+# the modules a request loads, printed after its answer
 _LOADED = (
     "import sys\n"
     "from randcl.cli import main\n"
     "assert main(sys.argv[1:]) == 0\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('randcl.')))\n"
+    "print(*sorted(sys.modules))\n"
 )
 # every request compiles each module it imports: a subcommand loads only
 # the modules it runs
@@ -175,6 +205,32 @@ def test_a_request_loads_only_the_modules_it_runs(command):
     loaded = set(out.splitlines()[-1].split())
     assert "randcl.randvar" in loaded
     assert loaded.isdisjoint(f"randcl.{m}" for m in NOT_LOADED[command])
+
+
+# argparse's import, with gettext, and its parser, which imports locale,
+# cost a few ms per request: a plain argv is read without them
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("command", ["eval", "isdef", "fuzz"])
+def test_a_plain_request_loads_no_parser(command):
+    out = _fresh(_LOADED, *REQUESTS[command])
+    assert PARSER_MODULES.isdisjoint(out.splitlines()[-1].split())
+
+
+def test_help_still_loads_argparse():
+    code = (
+        "import sys\n"
+        "from randcl.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    out = _fresh(code)
+    assert out.startswith("usage: randcl")
+    assert out.splitlines()[-1] == "True"
 
 
 def test_bare_import_loads_no_submodule():

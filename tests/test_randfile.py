@@ -17,6 +17,7 @@ from randcl import (
     Partition,
     RandomElement,
     Randomization,
+    dump,
     dumps,
     finite_enum,
     load,
@@ -111,6 +112,25 @@ def test_unknown_theory():
 def test_missing_file():
     with pytest.raises(ValueError, match="cannot read"):
         load(SAMPLES / "absent.json")
+
+
+def test_dump_then_load(tmp_path):
+    r = loads(GOOD)
+    dump(r, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text() == dumps(r)
+    assert load(str(tmp_path / "r.json")) == r
+
+
+def test_paths_read_as_pathlib_spells_them(tmp_path, monkeypatch):
+    # open() refuses '' and a trailing slash; the path is then read, and
+    # the error worded, as pathlib.Path spells it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.json").write_text(GOOD)
+    assert load("r.json/") == load("r.json") == loads(GOOD)
+    with pytest.raises(ValueError, match=r"^cannot read \.: Is a directory$"):
+        load("")
+    with pytest.raises(ValueError, match="^cannot read absent.json: No such file"):
+        load(".//absent.json")
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,6 +333,22 @@ MALFORMED = {
             (("elements", "b", 20), "?"),
         ),
         "error: bad fraction '?' for value of element 'b'",
+    ),
+    "list value": (
+        _edit(
+            _dlo_payload(),
+            (("elements", "b", 3), [2]),
+            (("elements", "b", 12), "x"),
+        ),
+        "error: value of element 'b' must be an exact fraction string, got [2]",
+    ),
+    "list weight": (
+        _edit(_dlo_payload(), (("atoms", 6, 1), ["1/40"])),
+        "error: weight of atom 'w7' must be an exact fraction string, got ['1/40']",
+    ),
+    "short element": (
+        _edit(_dlo_payload(), (("elements", "b"), ["0", "1"])),
+        "error: element has 2 values for 40 atoms",
     ),
     "enum type error after a domain error": (
         _edit(

@@ -121,6 +121,31 @@ def test_qe_of_a_tree_over_eliminated_parts_eliminates_nothing(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_qe_cache_hit_fills_the_node_memo(monkeypatch):
+    import randcl.theory
+
+    # the cache is not cleared: the second copy is answered from it, and
+    # a tree over that copy must not eliminate its quantifier again
+    text = "exists u. p1 < u & u < p2"
+    first, second = parse(text), parse(text)
+    assert first is not second and first == second
+    g = parse("forall v. v < p1 | p2 < v")
+    qf, qg = qe(first), qe(g)
+    hits = qe.cache_info().hits
+    assert qe(second) == qf
+    assert qe.cache_info().hits == hits + 1
+    calls = []
+    eliminate = randcl.theory._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(randcl.theory, "_eliminate", counted)
+    assert qe(And(second, g)) == And(qf, qg)
+    assert calls == []
+
+
 def _mixed(*parts: str):
     """The conjunction of the parts, each parsed under a signature that
     accepts it (constants under enum(10), '<' under DLO)."""
@@ -196,12 +221,15 @@ def test_eval_qf_basic():
 
 
 def test_eval_qf_needs_assignment():
-    with pytest.raises(ValueError, match="unassigned"):
+    with pytest.raises(ValueError, match="^unassigned free variable 'b'$"):
         eval_qf(parse("a < b"), {"a": Fraction(0)})
+    # the left term is looked up first, also under a connective
+    with pytest.raises(ValueError, match="^unassigned free variable 'x'$"):
+        eval_qf(parse("~(a = a) | x = y", E2), {"a": 0})
 
 
 def test_eval_qf_rejects_quantifiers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quantifier in quantifier-free evaluation$"):
         eval_qf(parse("exists u. u < a"), {"a": Fraction(0)})
 
 
