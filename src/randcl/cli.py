@@ -17,6 +17,11 @@ Subcommands::
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
 (including a formula nested past the recursion limit), 3 invariant
 violation or internal error.
+
+The recursion limit bounds a formula's size: under Python 3.11's default
+limit, the largest eval formula that answers has 983 &-conjuncts, 982
+nested ~, 492 nested parentheses or 492 nested quantifiers; one more
+exits 2 with "input nested too deeply to process".
 """
 
 from __future__ import annotations
@@ -316,14 +321,11 @@ def _commands() -> dict:
     }
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser.  Given a command name, only that command's
-    subparser is built, each of which costs a parser and a help formatter
-    per argument; the usage line still lists every command, so each
-    message the parser prints reads as the full parser's."""
+def build_parser():
+    """The argparse parser, which reads every argv that _plain_args does
+    not: help, usage and error messages are argparse's."""
     import argparse
 
-    commands = _commands()
     parser = argparse.ArgumentParser(
         prog="randcl",
         description="symbolic engine for finitely presented randomizations",
@@ -334,29 +336,14 @@ def build_parser(command: str | None = None):
         default="text",
         help="plain text (default) or JSON output",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(commands) + "}" if command else None,
-    )
-    for name in [command] if command else commands:
-        handler, help_text, arguments = commands[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, arguments) in _commands().items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for arg in arguments:
             flag, options = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(flag, **options)
     return parser
-
-
-def _command_of(argv: list[str]) -> str | None:
-    """The command argv names when nothing but --format options come before
-    it, else None: help, an abbreviated option or a missing or unknown
-    command needs the full parser."""
-    i = 0
-    while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
-        i += 2 if argv[i] == "--format" else 1
-    return argv[i] if i < len(argv) and argv[i] in _commands() else None
 
 
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:
@@ -415,7 +402,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:
-        args = build_parser(_command_of(argv)).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -107,7 +107,7 @@ def _algebra(r: Randomization, elems: Sequence[RandomElement]) -> EventAlgebra:
     """fo_event_algebra of resolved parameters."""
     part = r.partition
     return EventAlgebra(
-        tuple(Event._trusted(part, frozenset(g)) for g in _group_indices(r, elems))
+        tuple(Event(part, frozenset(g)) for g in _group_indices(r, elems))
     )
 
 
@@ -133,7 +133,7 @@ def _pointwise_event(r: Randomization, places: Sequence[Value]) -> Event:
     # some parameter pins the value exactly where its place is even
     pinned = [p % 2 == 0 for p in places]
     members = frozenset(itertools.compress(range(len(pinned)), pinned))
-    return Event._trusted(r.partition, members)
+    return Event(r.partition, members)
 
 
 def pointwise_definable_event(
@@ -364,7 +364,7 @@ def _assemble(
     combos: Iterable[Sequence[tuple[Value, ...]]],
 ) -> Iterator[RandomElement]:
     """The elements taking, on each group, the restriction a combo gives,
-    one combo at a time, built through RandomElement._trusted."""
+    one combo at a time."""
     # the groups partition the atoms: each atom's index in a combo's
     # restrictions laid end to end
     at = [0] * r.partition.size
@@ -373,7 +373,7 @@ def _assemble(
     for combo in combos:
         flat = tuple(itertools.chain.from_iterable(combo))
         values = tuple(map(flat.__getitem__, at))
-        yield RandomElement._trusted(r.sig, r.partition, values)
+        yield RandomElement(r.sig, r.partition, values)
 
 
 def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:

@@ -44,19 +44,6 @@ class Partition(Record):
             weights = tuple(
                 w if type(w) is Fraction else as_fraction(w) for w in weights
             )
-        self._fill(names, weights)
-
-    @classmethod
-    def _of_columns(
-        cls, names: tuple[str, ...], weights: tuple[Fraction, ...]
-    ) -> Partition:
-        """The partition whose atom i is (names[i], weights[i]), from a
-        str column and a Fraction column such as the loader builds."""
-        p = object.__new__(cls)
-        p._fill(names, weights)
-        return p
-
-    def _fill(self, names: tuple[str, ...], weights: tuple[Fraction, ...]) -> None:
         # checked over whole columns at once; a failing check scans the
         # atoms in order, so the first bad one is the one named
         index = dict(zip(names, range(len(names))))
@@ -64,11 +51,7 @@ class Partition(Record):
             raise ValueError("duplicate atom names")
         if not names:
             raise ValueError("a partition needs at least one atom")
-        # each distinct weight object is read once, keyed by identity, as
-        # randvar._floor_keys reads values: the loader shares one object
-        # among the atoms of a repeated weight string
-        objs = dict(zip(map(id, weights), weights))
-        ratios = list(map(Fraction.as_integer_ratio, objs.values()))
+        ratios = list(map(Fraction.as_integer_ratio, weights))
         # every probability's denominator divides the weights' common one,
         # so bounding it keeps every probability printable; it is checked
         # as it grows, so coprime denominators never build a huge one
@@ -79,11 +62,10 @@ class Partition(Record):
                 raise ValueError(
                     f"weights' common denominator has more than {_MAX_DIGITS} digits"
                 )
-        num = dict(zip(objs, [n * (denom // d) for n, d in ratios]))
-        if min(num.values()) <= 0:
+        nums = tuple([n * (denom // d) for n, d in ratios])
+        if min(nums) <= 0:
             n, w = next((n, w) for n, w in zip(names, weights) if w <= 0)
             raise ValueError(f"atom {n!r} has nonpositive weight {w}")
-        nums = tuple(map(num.__getitem__, map(id, weights)))
         if sum(nums) != denom:
             raise ValueError(f"weights sum to {Fraction(sum(nums), denom)}")
         _set(self, "atoms", tuple(zip(names, weights)))
@@ -114,10 +96,10 @@ class Partition(Record):
         return Event(self, frozenset(idx))
 
     def top(self) -> Event:
-        return Event._trusted(self, frozenset(range(self.size)))
+        return Event(self, range(self.size))
 
     def bottom(self) -> Event:
-        return Event._trusted(self, frozenset())
+        return Event(self, ())
 
 
 def partition(pairs: Iterable[tuple[str, Fraction | int | str]]) -> Partition:
@@ -130,20 +112,16 @@ class Event(Record):
     def __init__(self, partition: Partition, members: Iterable[int]):
         members = frozenset(members)
         size = partition.size
-        for i in members:
-            if not isinstance(i, int) or not 0 <= i < size:
-                raise ValueError(f"atom index {i!r} out of range")
+        # checked over the whole set at once; only a set that fails is
+        # scanned member by member, so a bad index is the one named
+        if members and (
+            set(map(type, members)) != {int} or min(members) < 0 or max(members) >= size
+        ):
+            for i in members:
+                if not isinstance(i, int) or not 0 <= i < size:
+                    raise ValueError(f"atom index {i!r} out of range")
         _set(self, "partition", partition)
         _set(self, "members", members)
-
-    @classmethod
-    def _trusted(cls, partition: Partition, members: frozenset[int]) -> Event:
-        """An event whose members the engine derived from atom indices of
-        partition, so they need no checking again."""
-        e = object.__new__(cls)
-        _set(e, "partition", partition)
-        _set(e, "members", members)
-        return e
 
     @property
     def prob(self) -> Fraction:
@@ -182,22 +160,22 @@ def _same_partition(a: Event, b: Event) -> None:
 
 def meet(a: Event, b: Event) -> Event:
     _same_partition(a, b)
-    return Event._trusted(a.partition, a.members & b.members)
+    return Event(a.partition, a.members & b.members)
 
 
 def join(a: Event, b: Event) -> Event:
     _same_partition(a, b)
-    return Event._trusted(a.partition, a.members | b.members)
+    return Event(a.partition, a.members | b.members)
 
 
 def complement(a: Event) -> Event:
-    return Event._trusted(a.partition, frozenset(range(a.partition.size)) - a.members)
+    return Event(a.partition, frozenset(range(a.partition.size)) - a.members)
 
 
 def event_dist(a: Event, b: Event) -> Fraction:
     """Probability of the symmetric difference."""
     _same_partition(a, b)
-    return Event._trusted(a.partition, a.members ^ b.members).prob
+    return Event(a.partition, a.members ^ b.members).prob
 
 
 class EventAlgebra(Record):

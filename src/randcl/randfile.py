@@ -103,7 +103,7 @@ def _parse_atoms(raw: object, memo: dict[str, Fraction]) -> Partition:
         names, ws = zip(*raw)
         if set(map(type, names)) == {str}:
             weights = _fractions(ws, lambda i: f"weight of atom {names[i]!r}", memo)
-            return Partition._of_columns(names, weights)
+            return Partition(zip(names, weights))
     # some entry is malformed: scan in file order to name the first
     pairs = []
     for entry in raw:
@@ -144,9 +144,8 @@ def from_payload(payload: object) -> Randomization:
             bad = next(v for v in vals if type(v) is not int)
             raise ValueError(f"element {name!r} values must be integers, got {bad!r}")
     # every value is parsed before any element is built, so a bad value is
-    # named before a wrong count; DLO values are the loader's own Fractions
-    build = RandomElement._of_fractions if sig.is_dlo else RandomElement
-    built = {name: build(sig, part, vals) for name, vals in elements.items()}
+    # named before a wrong count
+    built = {name: RandomElement(sig, part, vals) for name, vals in elements.items()}
     return Randomization(sig, part, built)
 
 

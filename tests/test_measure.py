@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,18 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcl import (
+    DLO,
     Event,
     EventAlgebra,
     Partition,
+    Randomization,
     complement,
+    differs,
     event_dist,
+    eval_event,
     generated_algebra,
     join,
+    loads,
     meet,
+    parse,
     partition,
     refine,
     transport_event,
 )
+from randcl import measure
 
 HALF = Fraction(1, 2)
 
@@ -98,6 +106,38 @@ def test_event_accepts_names_and_indices(halves):
     assert halves.event(["w1"]) == halves.event([0])
     with pytest.raises(ValueError, match="unknown atom"):
         halves.event(["nope"])
+
+
+@pytest.mark.parametrize("bad", [-1, 3, "w1", 0.5], ids=repr)
+def test_event_refuses_a_bad_index_and_names_it(thirds, bad):
+    with pytest.raises(ValueError) as exc:
+        Event(thirds, [0, bad, 2])
+    assert str(exc.value) == f"atom index {bad!r} out of range"
+
+
+def test_event_accepts_every_index_of_a_large_partition():
+    n = 10**5
+    part = Partition((f"w{i}", Fraction(1, n)) for i in range(n))
+    e = Event(part, range(n))
+    assert e.is_top() and e.prob == 1
+    assert Event(part, range(0, n, 2)).prob == HALF
+
+
+def test_engine_built_events_are_the_checked_constructor_s():
+    part = partition([("w1", "1/4"), ("w2", "1/4"), ("w3", "1/2")])
+    r = Randomization.build(DLO, part, {"a": (0, 1, 2), "b": (1, 1, 0)})
+    less = eval_event(r, parse("a < b"), {"a": "a", "b": "b"})
+    events = [
+        less,
+        meet(less, r.partition.event([0, 2])),
+        complement(less),
+        differs(r.element("a"), r.element("b")),
+        r.partition.top(),
+        r.partition.bottom(),
+    ]
+    for e in events:
+        assert type(e.members) is frozenset
+        assert e == Event(e.partition, e.members)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +329,31 @@ COLUMNS = [
 
 @pytest.mark.parametrize("names, weights, error", COLUMNS)
 def test_partition_of_columns_is_the_partition_of_its_atoms(names, weights, error):
+    # the loader builds Partition(zip(names, weights)) from its columns
     def built(make):
         try:
             return make()
         except ValueError as exc:
             return str(exc)
 
-    by_columns = built(lambda: Partition._of_columns(names, weights))
-    by_atoms = built(lambda: Partition(zip(names, weights)))
+    by_columns = built(lambda: Partition(zip(names, weights)))
+    by_atoms = built(lambda: Partition([[n, w] for n, w in zip(names, weights)]))
+    # a file holding the atoms; the loader refuses an empty atom list and a
+    # weight past its digit bound itself, before any partition is built
+    loadable = names and all(w.denominator < 10**measure._MAX_DIGITS for w in weights)
+    if loadable:
+        atoms = [[n, str(w)] for n, w in zip(names, weights)]
+        text = json.dumps({"theory": "dlo", "atoms": atoms, "elements": {}})
+        by_file = built(lambda: loads(text).partition)
     if error is not None:
         assert by_columns == by_atoms
         assert error in by_columns
+        if loadable:
+            assert by_file == by_columns
         return
-    assert by_columns == by_atoms and repr(by_columns) == repr(by_atoms)
-    assert by_columns._nums == by_atoms._nums and by_columns._denom == by_atoms._denom
-    assert by_columns.names == names
+    assert by_columns == by_atoms == by_file
+    assert repr(by_columns) == repr(by_atoms) == repr(by_file)
+    for p in (by_atoms, by_file):
+        assert p._nums == by_columns._nums and p._denom == by_columns._denom
+    assert by_columns.names == by_file.names == names
     assert by_columns.names is by_columns.names  # kept, not rebuilt per call

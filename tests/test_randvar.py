@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randcl
 from randcl import (
     And,
     Atom,
+    Const,
     DLO,
     Exists,
     Not,
@@ -349,6 +356,67 @@ def test_witness_picks_tightest_gap_per_atom():
     theta = parse("(a < u & u < b) | (b < u & u < c)")
     w = witness(r, theta, "u", {"a": "a", "b": "b", "c": "c"})
     assert w.values == (HALF, Fraction(11, 2))
+
+
+@st.composite
+def _enum_witness_case(draw):
+    """An enum(n) instance for n in 2..7 and a formula in t and its
+    elements naming up to n constants."""
+    n = draw(st.integers(2, 7))
+    size = draw(st.integers(1, 4))
+    values = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+    elems = {name: tuple(draw(values)) for name in ("a", "b")}
+    part = partition([(f"w{i}", Fraction(1, size)) for i in range(size)])
+    r = Randomization.build(finite_enum(n), part, elems)
+    terms = st.sampled_from([Var("t"), Var("a"), Var("b"), *map(Const, range(n))])
+    atoms = st.builds(lambda lhs, rhs: Atom(lhs, "=", rhs), terms, terms)
+    theta = draw(
+        st.recursive(
+            atoms,
+            lambda inner: st.one_of(
+                st.builds(Not, inner),
+                st.builds(And, inner, inner),
+                st.builds(Or, inner, inner),
+            ),
+            max_leaves=2 * n,
+        )
+    )
+    return r, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_enum_witness_case())
+def test_enum_witness_is_the_full_scan_s(case):
+    # witness tries only the assigned values, the constants and 0..|M|;
+    # the answer must be the smallest satisfying value of all of range(n)
+    r, theta = case
+    binding = {"a": "a", "b": "b"}
+    assert witness(r, theta, "t", binding).values == _witness_by_atom(
+        r, theta, "t", binding
+    )
+
+
+def test_enum_witness_under_a_huge_domain_answers_at_once(tmp_path):
+    # no value satisfies, so the answer is the default 0; finding that out
+    # must not scan the domain
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {"theory": f"enum({10**20})", "atoms": [["w", "1"]], "elements": {"a": [5]}}
+        )
+    )
+    src = str(Path(randcl.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["witness", str(path), "t = a & ~(t = a)", "t"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "randcl.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0)\n", "")
 
 
 # ---------------------------------------------------------------------------
