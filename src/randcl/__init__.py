@@ -27,7 +27,8 @@ _EXPORTS = {
     "theory": ("eval_qf", "isolating_formula", "qe"),
     "oracles": (
         "definable_in_model", "eval_direct", "evaluate", "fo_definable_closure",
-        "is_functional", "is_valid", "isolating_formulas", "universal_closure",
+        "if_less_closure", "is_functional", "is_valid", "isolating_formulas",
+        "universal_closure",
     ),
     "measure": (
         "Event", "EventAlgebra", "Partition", "complement", "event_dist",
@@ -41,7 +42,7 @@ _EXPORTS = {
     ),
     "closure": (
         "DefinabilityReport", "definability_report", "definable_closure",
-        "fo_definable_on", "fo_event_algebra", "if_less_closure", "is_definable",
+        "fo_definable_on", "fo_event_algebra", "is_definable",
         "is_definable_by_isolating_events", "is_definable_by_pinning",
         "is_pointwise_definable", "piecewise_definable",
         "pointwise_definable_event",

@@ -23,7 +23,6 @@ from .closure import (
     definability_report,
     definable_closure,
     fo_event_algebra,
-    if_less_closure,
 )
 from .formula import (
     And,
@@ -69,7 +68,12 @@ from .randvar import (
     transport_elem,
     witness,
 )
-from .oracles import _if_less_closure_naive, eval_direct, fo_definable_closure
+from .oracles import (
+    _if_less_closure_naive,
+    eval_direct,
+    fo_definable_closure,
+    if_less_closure,
+)
 from .randfile import dumps, loads
 from .theory import eval_qf, qe
 

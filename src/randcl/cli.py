@@ -5,7 +5,7 @@ Subcommands::
     eval FILE "FORMULA"      event of a formula over named elements
     dclb FILE [PARAM...]     atoms of the parameter-definable event algebra
     dcl FILE [PARAM...]      enumerate the definable closure
-    lcl FILE [PARAM...]      closure under the if_less combinator (ordered)
+    lcl FILE [PARAM...]      if_less closure, equal to dcl's (ordered only)
     isdef FILE ELEM [PARAM...]   run all definability deciders
     pointwise FILE ELEM [PARAM...]  pointwise-definability event
     dist FILE X Y            distance between elements, or between events
@@ -19,7 +19,7 @@ Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
 violation or internal error.
 
 The recursion limit bounds a formula's size: under Python 3.11's default
-limit, the largest eval formula that answers has 983 &-conjuncts, 982
+limit, the largest eval formula that answers has 985 &-conjuncts, 984
 nested ~, 492 nested parentheses or 492 nested quantifiers; one more
 exits 2 with "input nested too deeply to process".
 """
@@ -145,11 +145,13 @@ def _cmd_dclb(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    from .closure import definable_closure, if_less_closure
+    from .closure import _resolve_params, definable_closure
 
-    closure = definable_closure if args.command == "dcl" else if_less_closure
     r = load(args.file)
-    lines, payload = _element_lines(r, args, closure(r, args.params))
+    if args.command == "lcl" and not r.sig.is_dlo:
+        _resolve_params(r, args.params)  # a bad parameter is named first
+        raise ValueError("if_less closure needs an ordered theory")
+    lines, payload = _element_lines(r, args, definable_closure(r, args.params))
     _emit(args, lines, payload)
     return 0
 

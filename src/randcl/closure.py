@@ -6,9 +6,10 @@ elements: the event algebra of the parameters' types, the pointwise test
 inside each fiber model, per-event definability through functional
 formulas, whole-element deciders (two of them on the isolating-formula
 events, one formula per type the parameters realize on some atom),
-the closure enumeration, and the closure under the four-argument if_less
-combinator.  The reference enumerations the cross-checks compare these
-with are in oracles.
+and the closure enumeration, which is also the closure under the
+four-argument if_less combinator.  The reference enumerations the
+cross-checks compare these with, the if_less closure's partition
+refinement among them, are in oracles.
 """
 
 from __future__ import annotations
@@ -394,80 +395,6 @@ def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]
     groups = _group_indices(r, elems)
     per_group = _group_restrictions(r, elems, groups)
     return list(_assemble(r, groups, itertools.product(*per_group)))
-
-
-# ---------------------------------------------------------------------------
-# if_less fixpoint closure
-# ---------------------------------------------------------------------------
-
-def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
-    """Least set of elements containing the parameters and closed under the
-    four-argument if_less combinator.
-
-    An application if_less(u, v, x, y) copies x on the event "u < v" and y
-    off it; since u < v is decided per order-type group, the result selects
-    between x and y groupwise, following the comparison pattern of (u, v).
-    Composing such selections yields exactly the mixes measurable in the
-    algebra the realized patterns generate over the groups.  So the closure
-    is computed by partition refinement: start with all groups in one block
-    carrying the parameters' joint patterns, and split a block whenever a
-    realized comparison orders two of its patterns differently on two of
-    its coordinates.  Once no block splits, the closure is the product of
-    the per-block pattern sets.
-
-    A pattern gives, per group, the rank of the parameter restriction it
-    takes there (see _group_restrictions); ranks compare as the
-    restrictions do on every atom of the group.
-    """
-    elems = _resolve_params(r, params)
-    if not r.sig.is_dlo:
-        raise ValueError("if_less closure needs an ordered theory")
-    if not elems:
-        return []
-    groups = _group_indices(r, elems)
-    m = len(groups)
-    rows = _type_rows(r, tuple(elems))
-
-    def dedup(pats) -> list[tuple[int, ...]]:
-        return list(dict.fromkeys(pats))
-
-    Block = tuple[tuple[int, ...], list[tuple[int, ...]]]
-    blocks: list[Block] = [
-        (tuple(range(m)), dedup(zip(*(rows[g[0]] for g in groups))))
-    ]
-    while True:
-        split = False
-        refined: list[Block] = []
-        for coords, pats in blocks:
-            by_sig: dict[tuple[bool, ...], list[int]] = {}
-            for pos in range(len(coords)):
-                sig = tuple(t[pos] < s[pos] for t in pats for s in pats)
-                by_sig.setdefault(sig, []).append(pos)
-            if len(by_sig) == 1:
-                refined.append((coords, pats))
-                continue
-            split = True
-            for positions in by_sig.values():
-                sub_coords = tuple(coords[p] for p in positions)
-                sub_pats = dedup(tuple(t[p] for p in positions) for t in pats)
-                refined.append((sub_coords, sub_pats))
-        blocks = refined
-        if not split:
-            break
-
-    # distinct combinations give distinct rank tuples; sorting those sorts
-    # the elements by value, the groups being ordered by first atom
-    choices = []
-    for combo in itertools.product(*(pats for _, pats in blocks)):
-        ranks = [0] * m
-        for (coords, _), pat in zip(blocks, combo):
-            for d, k in zip(coords, pat):
-                ranks[d] = k
-        choices.append(ranks)
-    choices.sort()
-    per_group = _group_restrictions(r, elems, groups)
-    combos = ([per_group[d][k] for d, k in enumerate(ranks)] for ranks in choices)
-    return list(_assemble(r, groups, combos))
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,12 @@ class Formula(Record):
     """Base class for all formula nodes.
 
     Each node keeps its hash in ``_hash``, computed when it is built from
-    its class and its children's kept hashes, so hashing a tree (the qe
-    cache does on every lookup) costs O(1).  A negation, connective or
-    quantifier node also keeps two answers derived from it, None until
-    first asked for: ``_free``, its free variables (free_vars), and
-    ``_qf``, its quantifier-free form with the signature it was worked out
-    under (theory._qe).  A tree built over subtrees already asked about
+    its class and its children's kept hashes, so hashing a tree (a dict of
+    formulas, such as theory._eliminate's parts, does on every lookup)
+    costs O(1).  A negation, connective or quantifier node also keeps two
+    answers derived from it, None until first asked for: ``_free``, its
+    free variables (free_vars), and ``_qf``, its quantifier-free form with
+    the signature it was first worked out under (theory._qe).  A tree built over subtrees already asked about
     then costs only its new nodes.
     """
 

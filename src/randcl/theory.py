@@ -2,9 +2,10 @@
 
 Both theories, dense linear orders without endpoints and finite
 enumerated domains, are decided by one quantifier eliminator: a
-quantifier becomes the truth of its body at finitely many test points,
-and every evaluator is qe followed by eval_qf.  On top of that sit the
-isolating formulas of realized types that drive the closure deciders.
+quantifier becomes the truth of its body at a few test points, however
+large an enumerated domain is, and every evaluator is qe followed by
+eval_qf; each answer is kept on its formula node only.  On top of that
+sit the isolating formulas of realized types that drive the closure deciders.
 The independent reference routes (direct evaluation, validity, the full
 list of isolating formulas) are in oracles.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .formula import (
     DLO,
@@ -172,8 +172,12 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
     The truth of body moves only where u crosses a term it is compared
     with, so it is decided at test points.  Dense order without endpoints:
     below every term, at each term, and just above each term.  Enumerated
-    domain: every constant.  The result is the disjunction (conjunction)
-    of body at the test points, with duplicate and unit parts dropped.
+    domain: body compares u with its terms T by = only, so T's terms and
+    the v + 1 smallest constants not in T suffice, v of T's terms being
+    variables (one of those constants differs from all their values); or
+    every constant, when these do not fit below n.  The result is the
+    disjunction (conjunction) of body at the test points, with duplicate
+    and unit parts dropped.
 
     Under DLO, body is first probed above every term: if that folds to the
     absorbing constant (true for exists, false for forall), so does the
@@ -198,7 +202,14 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
         points += [(t, above) for t in terms for above in (False, True)]
     else:
         assert sig.n is not None
-        points = [(Const(c), False) for c in range(sig.n)]
+        named = {t.index for t in terms if isinstance(t, Const)}
+        v = len(terms) - len(named)
+        if len(terms) + v + 1 < sig.n:
+            fresh = [c for c in range(len(terms) + 1) if c not in named][: v + 1]
+            points = [(Const(c), False) for c in sorted(named.union(fresh))]
+            points += [(t, False) for t in terms if not isinstance(t, Const)]
+        else:
+            points = [(Const(c), False) for c in range(sig.n)]
     parts: dict[Formula, None] = {}
     for t, above in points:
         g = _at(body, u, t, above)
@@ -212,9 +223,10 @@ def _eliminate(sig: Signature, u: str, body: Formula, exists: bool) -> Formula:
 def _qe(f: Formula, sig: Signature) -> Formula:
     """qe's recursion.  Each atom is checked against sig as it is reached,
     left to right, so one pass both checks and eliminates.  A composite
-    node's result is kept in its ``_qf`` with sig and returned from there
-    when asked again under sig, before any recursion; the lookup is inline,
-    so the recursion still takes one frame per level."""
+    node keeps its result in its ``_qf`` with the first sig it is asked
+    under, and returns it from there when asked again under that sig,
+    before any recursion; the lookup is inline, so the recursion still
+    takes one frame per level."""
     if isinstance(f, Atom):
         _check_atom(f, sig)
         return _atom(f.lhs, f.rel, f.rhs)
@@ -231,20 +243,8 @@ def _qe(f: Formula, sig: Signature) -> Formula:
         out = _FOLD[type(f)](_qe(f.lhs, sig), _qe(f.rhs, sig))
     else:
         raise TypeError(f"not a formula: {f!r}")
-    _set(f, "_qf", (sig, out))
-    return out
-
-
-# fixed bound on remembered qe results, so a long-lived process (a long
-# fuzz run, a library user's loop) keeps flat memory; a deciding request
-# fills a few hundred entries at most
-_QE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_QE_CACHE_SIZE)
-def _cached_qe(f: Formula, sig: Signature) -> Formula:
-    out = _qe(f, sig)
-    assert is_quantifier_free(out)
+    if kept is None:
+        _set(f, "_qf", (sig, out))
     return out
 
 
@@ -255,18 +255,13 @@ def qe(f: Formula, sig: Signature = DLO) -> Formula:
     innermost-out: each quantifier's body is first made quantifier-free,
     then the quantifier is replaced by the body's truth at finitely many
     test points (Ferrante & Rackoff; Loos & Weispfenning), with no normal
-    form in between.  Answers are cached by structure (qe.cache_info,
-    qe.cache_clear) and kept on f's own node, so a tree later built over
-    f, equal to a cached formula or not, does not eliminate f again.
+    form in between.  Each answer is kept on f's own node (see _qe), so a
+    tree later built over f does not eliminate f again, and the answer
+    dies with the node.
     """
-    out = _cached_qe(f, sig)
-    if not isinstance(f, (Atom, Truth, Falsity)):
-        _set(f, "_qf", (sig, out))  # a cache hit did not run _qe on f
+    out = _qe(f, sig)
+    assert is_quantifier_free(out)
     return out
-
-
-qe.cache_info = _cached_qe.cache_info
-qe.cache_clear = _cached_qe.cache_clear
 
 
 # ---------------------------------------------------------------------------

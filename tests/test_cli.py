@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randcl
 from randcl import (
     definable_closure,
     elem_dist,
@@ -323,6 +324,30 @@ def test_theory_mismatch_exit_two(capsys):
     code = main(["lcl", COIN, "b"])
     assert code == 2
     assert "ordered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["nosuch"], "error: unknown element 'nosuch'\n"),
+        (["b", "b"], "error: duplicate parameter name\n"),
+        (["b"], "error: if_less closure needs an ordered theory\n"),
+    ],
+)
+def test_lcl_under_an_enumerated_domain_names_a_bad_parameter_first(
+    params, message, capsys
+):
+    code = main(["lcl", COIN, *params])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+
+
+def test_lcl_is_checked_against_an_independent_route():
+    # lcl prints the definable closure; acceptance 2 and the closure-routes
+    # check compare that with the partition refinement in oracles, which
+    # must stay a second algorithm
+    assert randcl.if_less_closure.__module__ == "randcl.oracles"
+    assert randcl.if_less_closure is not randcl.definable_closure
 
 
 def test_unknown_atom_in_event_exit_two(capsys):

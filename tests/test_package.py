@@ -262,3 +262,27 @@ def test_dir_submodules_and_unknown_names():
         randcl.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from randcl import no_such_name  # noqa: F401
+
+
+# the largest eval formula of each shape that answers under Python 3.11's
+# default recursion limit, as README and cli's docstring give them
+FORMULA_LIMITS = {
+    "&-conjuncts": (985, lambda k: " & ".join(["a < b"] * k)),
+    "nested ~": (984, lambda k: "~" * k + "a < b"),
+    "nested parentheses": (492, lambda k: "(" * k + "a < b" + ")" * k),
+    "nested quantifiers": (492, lambda k: "exists u. " * k + "a < b"),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the limits are measured on Python 3.11"
+)
+@pytest.mark.parametrize("shape", sorted(FORMULA_LIMITS))
+def test_documented_formula_size_limits(shape):
+    size, make = FORMULA_LIMITS[shape]
+    answers = _run(["-m", "randcl.cli", "eval", SWAP, make(size)])
+    assert (answers.returncode, answers.stderr) == (0, "")
+    too_big = _run(["-m", "randcl.cli", "eval", SWAP, make(size + 1)])
+    assert (too_big.returncode, too_big.stdout, too_big.stderr) == (
+        2, "", "error: input nested too deeply to process\n"
+    )

@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randcl
 from randcl import (
     DLO,
     And,
+    Atom,
+    Const,
     Exists,
     Falsity,
     Forall,
+    Iff,
     Implies,
     Not,
+    Or,
     Truth,
     Var,
     finite_enum,
@@ -37,6 +47,16 @@ from randcl.theory import eval_qf, qe
 
 E2 = finite_enum(2)
 E3 = finite_enum(3)
+
+
+def _fresh_process(args: list[str], timeout: float | None = None):
+    """python with args in a fresh interpreter that imports this randcl."""
+    src = str(Path(randcl.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +109,9 @@ def test_qe_probes_above_every_term(k):
     assert qe(Forall("u", Not(f))) == Falsity()
 
 
-def test_qe_cache_is_bounded():
-    maxsize = qe.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < 10**6
-
-
 def test_qe_of_a_tree_over_eliminated_parts_eliminates_nothing(monkeypatch):
     import randcl.theory
 
-    qe.cache_clear()  # so that qe works on these very nodes
     f = parse("exists u. a < u & u < b")
     g = parse("forall v. v < a | b < v | v = c")
     qf, qg = qe(f), qe(g)
@@ -121,29 +135,25 @@ def test_qe_of_a_tree_over_eliminated_parts_eliminates_nothing(monkeypatch):
     assert len(calls) == 2
 
 
-def test_a_qe_cache_hit_fills_the_node_memo(monkeypatch):
-    import randcl.theory
-
-    # the cache is not cleared: the second copy is answered from it, and
-    # a tree over that copy must not eliminate its quantifier again
-    text = "exists u. p1 < u & u < p2"
-    first, second = parse(text), parse(text)
-    assert first is not second and first == second
-    g = parse("forall v. v < p1 | p2 < v")
-    qf, qg = qe(first), qe(g)
-    hits = qe.cache_info().hits
-    assert qe(second) == qf
-    assert qe.cache_info().hits == hits + 1
-    calls = []
-    eliminate = randcl.theory._eliminate
-
-    def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
-
-    monkeypatch.setattr(randcl.theory, "_eliminate", counted)
-    assert qe(And(second, g)) == And(qf, qg)
-    assert calls == []
+def test_qe_answers_die_with_their_formulas():
+    # each answer is kept only on its node, so once the formulas are
+    # dropped no formula node stays alive; a fresh process holds no other
+    code = (
+        "import gc\n"
+        "from randcl import Formula, parse, qe\n"
+        "from randcl.formula import FALSE, TRUE\n"
+        "fs = [parse(f'exists u. (x{i} < u & u < y{i}) | forall v. v < x{i}')\n"
+        "      for i in range(3000)]\n"
+        "for f in fs:\n"
+        "    qe(f)\n"
+        "del f, fs\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, Formula) and o is not TRUE and o is not FALSE\n"
+        "          for o in gc.get_objects()))\n"
+    )
+    proc = _fresh_process(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def _mixed(*parts: str):
@@ -208,6 +218,86 @@ def test_enum_qe_agrees_with_direct_search(seed, n, quantifiers):
     for _ in range(8):
         assign = {v: rng.randrange(n) for v in ("a", "b", "c")}
         assert eval_qf(g, assign) == eval_direct(f, assign, sig)
+
+
+def _enum_formula(rng: random.Random, n: int, scope: tuple[str, ...], depth: int):
+    """A random enum(n) formula over scope whose atoms mostly compare the
+    innermost variable, with a constant more often than not, so that it
+    may name every constant."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        lhs = Var(scope[-1] if rng.random() < 0.7 else rng.choice(scope))
+        rhs = Const(rng.randrange(n)) if rng.random() < 0.6 else Var(rng.choice(scope))
+        return Atom(lhs, "=", rhs)
+    if roll < 0.4:
+        return Not(_enum_formula(rng, n, scope, depth - 1))
+    if roll < 0.8:
+        ctor = rng.choice((And, Or, Implies, Iff))
+        return ctor(
+            _enum_formula(rng, n, scope, depth - 1),
+            _enum_formula(rng, n, scope, depth - 1),
+        )
+    var = f"u{depth}"
+    ctor = rng.choice((Exists, Forall))
+    return ctor(var, _enum_formula(rng, n, scope + (var,), depth - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+def test_enum_qe_test_points_agree_with_direct_search(seed, n):
+    # qe tries the compared terms and a few fresh constants when they fit
+    # below n, and every constant otherwise; both cases occur here
+    rng = random.Random(seed)
+    sig = finite_enum(n)
+    f = _enum_formula(rng, n, ("a", "b"), depth=5)
+    g = qe(f, sig)
+    for _ in range(8):
+        assign = {v: rng.randrange(n) for v in ("a", "b")}
+        assert eval_qf(g, assign) == eval_direct(f, assign, sig)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enum_qe_when_the_named_values_fill_the_domain(n):
+    # u avoids a and c0..c(k-1): some value is left exactly when they take
+    # fewer than n, so k = n - 1 and k = n leave no fresh constant to try
+    sig = finite_enum(n)
+    for k in range(n + 1):
+        avoid = " & ".join(["~(u = a)"] + [f"~(u = c{i})" for i in range(k)])
+        g = qe(parse(f"exists u. {avoid}", sig), sig)
+        for a in range(n):
+            assert eval_qf(g, {"a": a}) == (len({a, *range(k)}) < n)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["eval", "exists u. u = a"], "{w1}, probability = 1\n"),
+        (["eval", "exists u. ~(u = a) & ~(u = c0)"], "{w1}, probability = 1\n"),
+        (["eval", "forall u. u = a | u = c7"], "{}, probability = 0\n"),
+        (["eval", "exists u. forall v. u = v | v = a"], "{}, probability = 0\n"),
+        (
+            ["isdef", "a", "b"],
+            "pointwise_algebra: true\npiecewise_family: true\n"
+            "isolating_events: true\nclosure_member: true\nverdict: true\n",
+        ),
+    ],
+)
+def test_enum_requests_under_a_huge_domain_answer_at_once(argv, out, tmp_path):
+    # trying all 10**20 constants would never end: a fresh process with a
+    # time limit keeps a regression from hanging the suite
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "theory": f"enum({10**20})",
+                "atoms": [["w1", "1"]],
+                "elements": {"a": [5], "b": [7]},
+            }
+        )
+    )
+    command, *rest = argv
+    proc = _fresh_process(["-m", "randcl.cli", command, str(path), *rest], timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 # ---------------------------------------------------------------------------
