@@ -9,7 +9,12 @@ operators, and the deciders that cross-check one another.
 
 Every request of the command line is a fresh process, so importing the
 package loads no submodule: each exported name (PEP 562) and each
-submodule is imported on first use.
+submodule is imported on first use.  The submodules are cut along the
+requests' routes, so that a subcommand compiles only modules whose code
+it runs (README.md maps them): records, measure, randvar and randfile
+for every request; formula and theory for those that read a formula;
+witnesses, algebra and closure for their subcommands; library, oracles
+and checks for the cross-checks alone.
 """
 
 import importlib
@@ -18,34 +23,38 @@ __version__ = "0.1.0"
 
 # home module -> the names it exports
 _EXPORTS = {
+    "records": ("DLO", "Signature", "finite_enum"),
     "formula": (
-        "DLO", "Atom", "And", "Const", "Exists", "Falsity", "Forall", "Formula",
-        "Iff", "Implies", "Not", "Or", "ParseError", "Signature", "Truth", "Var",
-        "check_signature", "finite_enum", "free_vars", "is_quantifier_free",
-        "parse", "substitute", "to_text",
+        "Atom", "And", "Const", "Exists", "Falsity", "Forall", "Formula", "Iff",
+        "Implies", "Not", "Or", "ParseError", "Truth", "Var", "free_vars",
+        "is_quantifier_free", "parse", "to_text",
     ),
-    "theory": ("eval_qf", "isolating_formula", "qe"),
+    "theory": ("eval_qf", "qe"),
     "oracles": (
         "definable_in_model", "eval_direct", "evaluate", "fo_definable_closure",
         "if_less_closure", "is_functional", "is_valid", "isolating_formulas",
         "universal_closure",
     ),
     "measure": (
-        "Event", "EventAlgebra", "Partition", "complement", "event_dist",
-        "generated_algebra", "join", "meet", "partition", "refine",
-        "transport_event",
+        "Event", "Partition", "complement", "event_dist", "join", "meet",
+        "partition",
     ),
     "randvar": (
         "RandomElement", "Randomization", "differs", "elem_dist", "eval_event",
-        "glue", "if_less", "indicator", "pointwise_max", "pointwise_min",
-        "transport_elem", "witness",
+        "glue",
     ),
-    "closure": (
-        "DefinabilityReport", "definability_report", "definable_closure",
-        "fo_definable_on", "fo_event_algebra", "is_definable",
-        "is_definable_by_isolating_events", "is_definable_by_pinning",
-        "is_pointwise_definable", "piecewise_definable",
+    "witnesses": ("witness",),
+    "algebra": (
+        "EventAlgebra", "definable_closure", "fo_event_algebra",
         "pointwise_definable_event",
+    ),
+    "closure": ("DefinabilityReport", "definability_report", "isolating_formula"),
+    "library": (
+        "check_signature", "fo_definable_on", "generated_algebra", "if_less",
+        "indicator", "is_definable", "is_definable_by_isolating_events",
+        "is_definable_by_pinning", "is_pointwise_definable", "piecewise_definable",
+        "pointwise_max", "pointwise_min", "refine", "substitute", "transport_elem",
+        "transport_event",
     ),
     "randfile": ("dump", "dumps", "load", "loads"),
 }

@@ -6,7 +6,8 @@ event map is a Boolean homomorphism, metrics satisfy their axioms, the
 closure enumerations computed by independent algorithms coincide, and all
 definability deciders return identical verdicts.  The generator draws
 small instances (2..6 atoms, exact dyadic or ternary weights) so every
-check stays brute-forceable.
+check stays brute-forceable.  The check and fuzz subcommands' handlers
+are here too, so no other request compiles them.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ import random
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .closure import (
-    _fo_definable_on,
+from .algebra import (
+    EventAlgebra,
     _places,
-    _realized_events,
     _resolve_params,
-    definability_report,
     definable_closure,
     fo_event_algebra,
 )
+from .closure import _fo_definable_on, _realized_events, definability_report
 from .formula import (
     And,
     Atom,
@@ -35,25 +35,27 @@ from .formula import (
     Implies,
     Not,
     Or,
-    MutableRecord,
-    Signature,
     Var,
-    DLO,
-    finite_enum,
     free_vars,
     is_quantifier_free,
 )
-from .measure import (
-    EventAlgebra,
-    complement,
-    event_dist,
+from .library import (
     generated_algebra,
-    join,
-    meet,
-    partition,
+    indicator,
+    pointwise_max,
+    pointwise_min,
     refine,
+    transport_elem,
     transport_event,
 )
+from .measure import complement, event_dist, join, meet, partition
+from .oracles import (
+    _if_less_closure_naive,
+    eval_direct,
+    fo_definable_closure,
+    if_less_closure,
+)
+from .randfile import dumps, load, loads, to_payload
 from .randvar import (
     RandomElement,
     Randomization,
@@ -62,20 +64,10 @@ from .randvar import (
     elem_dist,
     eval_event,
     glue,
-    indicator,
-    pointwise_max,
-    pointwise_min,
-    transport_elem,
-    witness,
 )
-from .oracles import (
-    _if_less_closure_naive,
-    eval_direct,
-    fo_definable_closure,
-    if_less_closure,
-)
-from .randfile import dumps, loads
+from .records import DLO, MutableRecord, Signature, finite_enum
 from .theory import eval_qf, qe
+from .witnesses import witness
 
 # ---------------------------------------------------------------------------
 # instance generation
@@ -510,3 +502,60 @@ def run_fuzz(
         sub = random.Random(rng.getrandbits(64))
         out.append((inst, run_checks(inst, sub)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the check and fuzz subcommands
+# ---------------------------------------------------------------------------
+
+# Each returns its exit code, its text lines and its structured payload,
+# which cli prints: a request runs cli as __main__, so importing cli here
+# would compile it a second time.
+
+def _cmd_check(args) -> tuple[int, list[str], dict]:
+    r = load(args.file)
+    results = run_checks(r, random.Random(args.seed))
+    lines = []
+    for res in results:
+        mark = "ok  " if res.passed else "FAIL"
+        lines.append(f"{mark} {res.name}" + (f": {res.detail}" if res.detail else ""))
+    passed = sum(1 for res in results if res.passed)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    payload = {
+        "checks": [
+            {"name": res.name, "passed": res.passed, "detail": res.detail}
+            for res in results
+        ],
+        "passed": passed,
+        "total": len(results),
+    }
+    return 0 if passed == len(results) else 3, lines, payload
+
+
+def _cmd_fuzz(args) -> tuple[int, list[str], dict]:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    outcomes = run_fuzz(args.count, args.seed)
+    lines = []
+    failures = []
+    for idx, (inst, results) in enumerate(outcomes):
+        bad = [res for res in results if not res.passed]
+        if bad:
+            failures.append((idx, inst, bad))
+            for res in bad:
+                lines.append(f"instance {idx}: FAIL {res.name}: {res.detail}")
+    ok = len(outcomes) - len(failures)
+    lines.append(f"{ok}/{len(outcomes)} instances passed all cross-checks")
+    payload = {
+        "count": len(outcomes),
+        "passed": ok,
+        "failures": [
+            {
+                "index": idx,
+                "instance": to_payload(inst),
+                "failed": [res.name for res in bad],
+            }
+            for idx, inst, bad in failures
+        ],
+    }
+    return 0 if not failures else 3, lines, payload

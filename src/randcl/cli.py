@@ -31,9 +31,8 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .formula import free_vars, parse
 from .measure import Event, event_dist
-from .randfile import _values_payloads, load, to_payload
+from .randfile import _values_payloads, load
 from .randvar import (
     RandomElement,
     Randomization,
@@ -41,7 +40,6 @@ from .randvar import (
     elem_dist,
     eval_event,
     glue,
-    witness,
 )
 
 # ---------------------------------------------------------------------------
@@ -113,6 +111,8 @@ def _parse_event(r: Randomization, text: str) -> Event:
 
 
 def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
+    from .formula import free_vars
+
     return {v: v for v in free_vars(f) if v not in skip}
 
 
@@ -121,10 +121,13 @@ def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
 # ---------------------------------------------------------------------------
 
 # Every request is a fresh process that compiles each module it imports, so
-# a handler imports closure, checks and random itself: eval, witness, dist
-# and glue never load them.
+# a handler imports the modules only it runs (formula, witnesses, algebra,
+# closure, checks): dist and glue load none of them, and eval_event
+# imports theory itself.
 
 def _cmd_eval(args) -> int:
+    from .formula import parse
+
     r = load(args.file)
     f = parse(args.formula, r.sig)
     _emit_event(args, eval_event(r, f, _identity_binding(f)))
@@ -132,7 +135,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dclb(args) -> int:
-    from .closure import fo_event_algebra
+    from .algebra import fo_event_algebra
 
     r = load(args.file)
     alg = fo_event_algebra(r, args.params)
@@ -145,7 +148,7 @@ def _cmd_dclb(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    from .closure import _resolve_params, definable_closure
+    from .algebra import _resolve_params, definable_closure
 
     r = load(args.file)
     if args.command == "lcl" and not r.sig.is_dlo:
@@ -176,7 +179,7 @@ def _cmd_isdef(args) -> int:
 
 
 def _cmd_pointwise(args) -> int:
-    from .closure import pointwise_definable_event
+    from .algebra import pointwise_definable_event
 
     r = load(args.file)
     ev = pointwise_definable_event(r, args.element, args.params)
@@ -202,6 +205,9 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .formula import parse
+    from .witnesses import witness
+
     r = load(args.file)
     theta = parse(args.formula, r.sig)
     w = witness(r, theta, args.var, _identity_binding(theta, skip=(args.var,)))
@@ -209,65 +215,18 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    import random
+def _cmd_checks(args) -> int:
+    """check and fuzz: their handlers are in checks, with the suite they
+    run, and return the exit code with the output to print."""
+    from . import checks
 
-    from .checks import run_checks
-
-    r = load(args.file)
-    results = run_checks(r, random.Random(args.seed))
-    lines = []
-    for res in results:
-        mark = "ok  " if res.passed else "FAIL"
-        lines.append(f"{mark} {res.name}" + (f": {res.detail}" if res.detail else ""))
-    passed = sum(1 for res in results if res.passed)
-    lines.append(f"{passed}/{len(results)} checks passed")
-    payload = {
-        "checks": [
-            {"name": res.name, "passed": res.passed, "detail": res.detail}
-            for res in results
-        ],
-        "passed": passed,
-        "total": len(results),
-    }
+    code, lines, payload = getattr(checks, f"_cmd_{args.command}")(args)
     _emit(args, lines, payload)
-    return 0 if passed == len(results) else 3
-
-
-def _cmd_fuzz(args) -> int:
-    from .checks import run_fuzz
-
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    outcomes = run_fuzz(args.count, args.seed)
-    lines = []
-    failures = []
-    for idx, (inst, results) in enumerate(outcomes):
-        bad = [res for res in results if not res.passed]
-        if bad:
-            failures.append((idx, inst, bad))
-            for res in bad:
-                lines.append(f"instance {idx}: FAIL {res.name}: {res.detail}")
-    ok = len(outcomes) - len(failures)
-    lines.append(f"{ok}/{len(outcomes)} instances passed all cross-checks")
-    payload = {
-        "count": len(outcomes),
-        "passed": ok,
-        "failures": [
-            {
-                "index": idx,
-                "instance": to_payload(inst),
-                "failed": [res.name for res in bad],
-            }
-            for idx, inst, bad in failures
-        ],
-    }
-    _emit(args, lines, payload)
-    return 0 if not failures else 3
+    return code
 
 
 # ---------------------------------------------------------------------------
-# parser
+# arguments
 # ---------------------------------------------------------------------------
 
 _PARAMS = ("params", {"nargs": "*", "metavar": "PARAM"})
@@ -277,8 +236,9 @@ _SEED = ("--seed", {"type": int, "default": 0})
 
 def _commands() -> dict:
     """name -> (handler, help text, arguments in order: a name, or a name
-    with add_argument's keywords).  Built on each call, so a handler is
-    looked up when the parser is built."""
+    with add_argument's keywords), which _plain_args and
+    usage.build_parser read.  Built on each call, so a handler is looked
+    up when the arguments are read."""
     file_params = ("file", _PARAMS)
     return {
         "eval": (_cmd_eval, "event and probability of a formula", ("file", "formula")),
@@ -313,46 +273,21 @@ def _commands() -> dict:
             ("file", "formula", "var"),
         ),
         "check": (
-            _cmd_check, "run the cross-check suite on one instance", ("file", _SEED)
+            _cmd_checks, "run the cross-check suite on one instance", ("file", _SEED)
         ),
         "fuzz": (
-            _cmd_fuzz,
+            _cmd_checks,
             "random instances through every cross-check",
             (("--count", {"type": int, "default": 100}), _SEED),
         ),
     }
 
 
-def build_parser():
-    """The argparse parser, which reads every argv that _plain_args does
-    not: help, usage and error messages are argparse's."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="randcl",
-        description="symbolic engine for finitely presented randomizations",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="plain text (default) or JSON output",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, arguments) in _commands().items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        for arg in arguments:
-            flag, options = (arg, {}) if isinstance(arg, str) else arg
-            p.add_argument(flag, **options)
-    return parser
-
-
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain argv, read from _commands() without
     argparse, whose import and parser cost a few ms per request; None for
-    any other argv, which the parser then reads, so every help, usage and
-    error message is argparse's.
+    any other argv, which usage.build_parser's parser then reads, so every
+    help, usage and error message is argparse's.
 
     Plain is an optional leading ``--format text|structured``, a command
     name and exactly the command's positionals (PARAM any number of
@@ -404,7 +339,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        from .usage import build_parser
+
+        args = build_parser(_commands()).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

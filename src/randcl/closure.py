@@ -1,73 +1,78 @@
-"""Definability over parameter sets in a finitely presented randomization.
+"""Definability of an element over a parameter tuple, decided several ways.
 
-The operators here answer, in several deliberately independent ways, which
-events and which elements are definable from a finite tuple of random
-elements: the event algebra of the parameters' types, the pointwise test
-inside each fiber model, per-event definability through functional
-formulas, whole-element deciders (two of them on the isolating-formula
-events, one formula per type the parameters realize on some atom),
-and the closure enumeration, which is also the closure under the
-four-argument if_less combinator.  The reference enumerations the
-cross-checks compare these with, the if_less closure's partition
-refinement among them, are in oracles.
+The deciders answer, in deliberately independent ways, whether an element
+is definable from a finite tuple of random elements: adjoining it refines
+the parameters' event algebra by nothing; it coincides with a parameter
+on every isolating event (ordered theory); a functional formula carves it
+out on each atom of that algebra; each isolating formula of (parameters,
+element) has the event of its existential projection; it is a member of
+the definable closure.  Two of them evaluate the isolating formulas of
+the types the parameters realize on some atom, one formula per type.
+definability_report runs them all on one parameter table.  The type
+groups, the pointwise event and the closure enumeration they build on are
+in algebra; the public single-decider functions are in library, and the
+reference enumerations the cross-checks compare these with in oracles.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from operator import attrgetter
 
-from .formula import Exists, Formula, MutableRecord
-from .measure import Event, EventAlgebra
+from .algebra import (
+    EventAlgebra,
+    Param,
+    ParamSet,
+    _algebra,
+    _places,
+    _pointwise_event,
+    _resolve_params,
+)
+from .formula import Atom, Const, Exists, Formula, Var
+from .measure import Event
 from .randvar import (
     RandomElement,
     Randomization,
-    _exact_keys,
-    _int_columns,
     _resolve,
     _type_rows,
     differs,
     eval_event,
 )
-from .theory import (
-    Value,
-    isolating_formula,
-    isolating_vars,
-)
-
-Param = str | RandomElement
-ParamSet = Sequence[Param]
-_VALUES = attrgetter("values")
-
-def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
-    names = [p for p in params if isinstance(p, str)]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate parameter name")
-    # the first element of each distinct value tuple, by a hash key that
-    # equal values share: the values under an enumerated domain, the kept
-    # (k, keys) under DLO (hashing a Fraction runs Python code).  An element
-    # given twice gives the same key object, which a dict matches by
-    # identity before comparing entries
-    key_of = _exact_keys if r.sig.is_dlo else _VALUES
-    out: dict[tuple, RandomElement] = {}
-    for p in params:
-        e = _resolve(r, p)
-        out.setdefault(key_of(e), e)
-    return list(out.values())
+from .records import MutableRecord, Signature, Value
+from .theory import conj_all
 
 
 # ---------------------------------------------------------------------------
-# event algebras
+# isolating formulas
 # ---------------------------------------------------------------------------
 
-def _group_indices(r: Randomization, elems: Sequence[RandomElement]) -> list[tuple[int, ...]]:
-    """Partition atom indices grouped by the order type of the parameters."""
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(_type_rows(r, tuple(elems))):
-        groups.setdefault(key, []).append(i)
-    return [tuple(g) for g in groups.values()]  # in first-atom order
+def isolating_vars(n: int) -> list[str]:
+    """Variable names v1..vn of the isolating formulas."""
+    return [f"v{i}" for i in range(1, n + 1)]
+
+
+def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
+    """The member of oracles.isolating_formulas(sig, len(key)) satisfied by
+    every tuple whose oracles.type_key is key.
+
+    For a dense linear order the variables are sorted by (rank, index) and
+    chained with < between ranks and = inside one, which is the
+    representative oracles._isolating_dlo builds for that weak ordering; for
+    FiniteEnum each vi is pinned to its constant.
+    """
+    if not sig.is_dlo:
+        return conj_all(
+            Atom(Var(f"v{i + 1}"), "=", Const(c)) for i, c in enumerate(key)
+        )
+    order = sorted(range(len(key)), key=lambda i: (key[i], i))
+    return conj_all(
+        Atom(
+            Var(f"v{i + 1}"),
+            "=" if key[i] == key[j] else "<",
+            Var(f"v{j + 1}"),
+        )
+        for i, j in zip(order, order[1:])
+    )
 
 
 def _realized_isolating(
@@ -104,106 +109,9 @@ def _realized_events(
     return out
 
 
-def _algebra(r: Randomization, elems: Sequence[RandomElement]) -> EventAlgebra:
-    """fo_event_algebra of resolved parameters."""
-    part = r.partition
-    return EventAlgebra(
-        tuple(Event(part, frozenset(g)) for g in _group_indices(r, elems))
-    )
-
-
-def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
-    """The finite algebra of events definable from the given parameters.
-
-    Two atoms satisfy the same formulas over the parameters exactly when
-    the parameters have the same type on both, so the algebra's atoms are
-    the groups of atoms by parameter type.  checks.isolating_event_algebra
-    builds it independently, from the isolating-formula events.
-    """
-    return _algebra(r, _resolve_params(r, params))
-
-
 # ---------------------------------------------------------------------------
-# pointwise definability
+# decider routes, on resolved parameters
 # ---------------------------------------------------------------------------
-
-def _pointwise_event(r: Randomization, places: Sequence[Value]) -> Event:
-    """pointwise_definable_event, from the element's places (see _places)."""
-    if not r.sig.is_dlo:
-        return r.partition.top()  # constants name every point
-    # some parameter pins the value exactly where its place is even
-    pinned = [p % 2 == 0 for p in places]
-    members = frozenset(itertools.compress(range(len(pinned)), pinned))
-    return Event(r.partition, members)
-
-
-def pointwise_definable_event(
-    r: Randomization, elem: Param, params: ParamSet
-) -> Event:
-    """Atoms on which the element's value is definable from the parameter
-    values inside the fiber model."""
-    b = _resolve(r, elem)
-    return _pointwise_event(r, _places(r, _resolve_params(r, params), b))
-
-
-def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
-    return pointwise_definable_event(r, elem, params).is_top()
-
-
-# ---------------------------------------------------------------------------
-# event-local and whole-element deciders
-# ---------------------------------------------------------------------------
-
-# Each public decider resolves its parameters and runs its route on the
-# resolved elements; definability_report resolves them once for all five.
-
-def _places(
-    r: Randomization, elems: Sequence[RandomElement], b: RandomElement
-) -> list[Value]:
-    """The element's own column of the type rows of (elems, b): with the
-    rows of elems (randvar._type_rows), it gives b's type on each atom.
-
-    Under DLO, 2k where b equals the parameters' value of rank k, 2k + 1
-    where b lies strictly between ranks k and k + 1, and -1 below every
-    value; so an even place means some parameter pins b there.  Under an
-    enumerated domain, b's value.
-    """
-    if not r.sig.is_dlo:
-        return list(b.values)
-    return list(map(_place, zip(*_int_columns(r.sig, (*elems, b)))))
-
-
-def _place(row: tuple[int, ...]) -> int:
-    """_places's entry for one atom, given the parameters' values there
-    and then the element's, as ints that compare as the values do."""
-    params, v = row[:-1], row[-1]
-    k = len(set(filter(v.__gt__, params)))  # v's rank among the parameters
-    return 2 * k if v in params else 2 * k - 1
-
-
-def fo_definable_on(
-    r: Randomization, elem: Param, e: Event, params: ParamSet
-) -> bool:
-    """Whether some functional formula over the parameters carves out
-    exactly e as the event where it picks the element.
-
-    Grouping the atoms by the order type of (parameters, element), such a
-    formula exists precisely when e is a union of refined groups, no two
-    selected groups share a parameter order type, and on each selected
-    group the element coincides with one of the parameters (automatic for
-    an enumerated domain, where every value is named by a constant).
-
-    On the sure event this is membership in definable_closure, decided per
-    parameter type group without enumerating it: under DLO the element's
-    restriction must be some parameter's (so no parameters means no
-    member), under an enumerated domain constant.
-    """
-    b = _resolve(r, elem)
-    elems = _resolve_params(r, params)
-    if e.partition is not r.partition and e.partition != r.partition:
-        raise ValueError("partition mismatch")
-    return _fo_definable_on(r, e, _type_rows(r, tuple(elems)), _places(r, elems, b))
-
 
 def _fo_definable_on(
     r: Randomization, e: Event, rows: Sequence[tuple], places: Sequence[Value]
@@ -238,16 +146,6 @@ def _refines_nothing(
     return all(base.contains(atom) for atom in refined.atoms)
 
 
-def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
-    """Element definability: pointwise definable everywhere, and adjoining
-    the element refines the parameter event algebra by nothing."""
-    b = _resolve(r, elem)
-    elems = _resolve_params(r, params)
-    if not _pointwise_event(r, _places(r, elems, b)).is_top():
-        return False
-    return _refines_nothing(r, b, elems, _algebra(r, elems))
-
-
 def _pinned(r: Randomization, b: RandomElement, elems: list[RandomElement]) -> bool:
     """is_definable_by_pinning on resolved parameters."""
     agree = [(~differs(b, x)).members for x in elems]
@@ -255,16 +153,6 @@ def _pinned(r: Randomization, b: RandomElement, elems: list[RandomElement]) -> b
         any(ev.members <= same for same in agree)
         for _, ev in _realized_events(r, elems)
     )
-
-
-def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> bool:
-    """Ordered-theory decider: on every nonempty isolating event of the
-    parameters (those of the types realized on some atom), the element
-    must coincide with one of them."""
-    if not r.sig.is_dlo:
-        raise ValueError("pinning decider needs an ordered theory")
-    b = _resolve(r, elem)
-    return _pinned(r, b, _resolve_params(r, params))
 
 
 def _projections_agree(
@@ -281,20 +169,6 @@ def _projections_agree(
     )
 
 
-def is_definable_by_isolating_events(
-    r: Randomization, elem: Param, params: ParamSet
-) -> bool:
-    """Cross-check decider: pointwise definability plus, for every isolating
-    formula of (parameters, element) with positive weight (those of the
-    types realized on some atom), the formula's event equals the event of
-    its existential projection."""
-    b = _resolve(r, elem)
-    elems = _resolve_params(r, params)
-    if not _pointwise_event(r, _places(r, elems, b)).is_top():
-        return False
-    return _projections_agree(r, b, elems)
-
-
 def _piecewise(
     r: Randomization,
     base: EventAlgebra,
@@ -308,93 +182,6 @@ def _piecewise(
     )
     total = sum((ev.prob for ev in family), Fraction(0))
     return total == 1, family
-
-
-def piecewise_definable(
-    r: Randomization, elem: Param, params: ParamSet
-) -> tuple[bool, tuple[Event, ...]]:
-    """Search for disjoint parameter-definable events of total weight one on
-    each of which the element is carved out by a functional formula.
-
-    Any qualifying family forces every atom of the parameter algebra to
-    qualify on its own, so the atoms are checked directly; the returned
-    family lists the passing atoms.
-    """
-    elems = _resolve_params(r, params)
-    base = _algebra(r, elems)
-    places = _places(r, elems, _resolve(r, elem))
-    return _piecewise(r, base, _type_rows(r, tuple(elems)), places)
-
-
-# ---------------------------------------------------------------------------
-# closure enumerations
-# ---------------------------------------------------------------------------
-
-def _group_restrictions(
-    r: Randomization,
-    elems: Sequence[RandomElement],
-    groups: Sequence[tuple[int, ...]],
-) -> list[list[tuple[Value, ...]]]:
-    """For each group of atoms, the restrictions to it that a closure
-    member can take, in increasing order of value.  A group lies inside
-    one type group: a whole one, or a single atom.
-
-    DLO: the parameters' restrictions; all atoms of a group share the
-    parameters' ranks, so the one of rank k is the kth.  Enumerated
-    domain: the constant ones.  _assemble turns a choice of one
-    restriction per group into the element.
-    """
-    if not r.sig.is_dlo:
-        assert r.sig.n is not None
-        return [[(v,) * len(g) for v in range(r.sig.n)] for g in groups]
-    rows = _type_rows(r, tuple(elems))
-    out = []
-    for g in groups:
-        of_rank: dict[int, RandomElement] = {}
-        for e, k in zip(elems, rows[g[0]]):
-            of_rank.setdefault(k, e)
-        out.append(
-            [tuple(map(of_rank[k].values.__getitem__, g)) for k in range(len(of_rank))]
-        )
-    return out
-
-
-def _assemble(
-    r: Randomization,
-    groups: Sequence[tuple[int, ...]],
-    combos: Iterable[Sequence[tuple[Value, ...]]],
-) -> Iterator[RandomElement]:
-    """The elements taking, on each group, the restriction a combo gives,
-    one combo at a time."""
-    # the groups partition the atoms: each atom's index in a combo's
-    # restrictions laid end to end
-    at = [0] * r.partition.size
-    for k, pos in enumerate(itertools.chain.from_iterable(groups)):
-        at[pos] = k
-    for combo in combos:
-        flat = tuple(itertools.chain.from_iterable(combo))
-        values = tuple(map(flat.__getitem__, at))
-        yield RandomElement(r.sig, r.partition, values)
-
-
-def definable_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:
-    """Every element definable from the parameters, enumerated exactly.
-
-    Ordered theory: all mixtures that agree with some parameter on each
-    atom of the parameter event algebra (no parameters means no elements).
-    Enumerated domain: all step functions measurable in that algebra.
-
-    The output is sorted by value tuple without comparing a value: the
-    groups are ordered by first atom and each group's restrictions by
-    value, so the product already runs in lexicographic order, and no two
-    combinations give the same element.
-    """
-    elems = _resolve_params(r, params)
-    if r.sig.is_dlo and not elems:
-        return []
-    groups = _group_indices(r, elems)
-    per_group = _group_restrictions(r, elems, groups)
-    return list(_assemble(r, groups, itertools.product(*per_group)))
 
 
 # ---------------------------------------------------------------------------

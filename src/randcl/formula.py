@@ -24,8 +24,9 @@ constants ``c0 .. c{n-1}``.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
-from operator import attrgetter
+from collections.abc import Iterator
+
+from .records import DLO, Record, Signature, _set
 
 
 class ParseError(ValueError):
@@ -34,127 +35,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-# ---------------------------------------------------------------------------
-# immutable records
-# ---------------------------------------------------------------------------
-
-# the one way to set a field: Record.__setattr__ refuses assignment
-_set = object.__setattr__
-
-
-def _field_reader(names: tuple[str, ...]):
-    """A method returning the values of the named fields as a tuple.
-
-    attrgetter reads them in C: formula == calls this on every node it
-    compares, about 2.5 times faster than a getattr loop.
-    """
-    if not names:
-        return lambda self: ()
-    get = attrgetter(*names)  # a tuple only for two or more names
-    if len(names) == 1:
-        return lambda self: (get(self),)
-    return lambda self: get(self)
-
-
-class Record:
-    """Base of the engine's immutable value classes.
-
-    A subclass names its fields as the public entries of its own and its
-    bases' ``__slots__``, in order, and sets each once in ``__init__`` with
-    ``object.__setattr__``.  That list is read once, when the class is
-    created, into ``_field_names``; ``_fields()`` returns the fields'
-    values in that order.  Two records are ``==`` when they are of the
-    same class with equal fields, ``hash`` agrees with ``==``, ``repr``
-    reads ``Name(field=value, ...)`` and pickling calls the class on the
-    fields.  Slots with a leading underscore hold derived state and take
-    part in none of these.  Assigning or deleting an attribute raises
-    AttributeError.
-    """
-
-    __slots__ = ()
-    _field_names: tuple[str, ...] = ()
-    _fields = _field_reader(())
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._field_names = tuple(
-            name
-            for c in reversed(cls.__mro__)
-            for name in vars(c).get("__slots__", ())
-            if not name.startswith("_")
-        )
-        cls._fields = _field_reader(cls._field_names)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, *self._fields()))
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{n}={v!r}" for n, v in zip(self._field_names, self._fields())
-        )
-        return f"{self.__class__.__name__}({fields})"
-
-
-class MutableRecord(Record):
-    """A Record whose fields may be assigned; unhashable, as its ``==``
-    can change."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-
-# ---------------------------------------------------------------------------
-# signatures
-# ---------------------------------------------------------------------------
-
-class Signature(Record):
-    """Either the dense-linear-order signature or FiniteEnum(n), n >= 2."""
-
-    __slots__ = ("kind", "n")
-
-    def __init__(self, kind: str, n: int | None = None):
-        if kind == "DLO":
-            if n is not None:
-                raise ValueError("DLO signature takes no size")
-        elif kind == "FiniteEnum":
-            if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-                raise ValueError("FiniteEnum needs an integer size n >= 2")
-        else:
-            raise ValueError(f"unknown signature kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "n", n)
-
-    @property
-    def is_dlo(self) -> bool:
-        return self.kind == "DLO"
-
-    def __str__(self) -> str:
-        return "DLO" if self.is_dlo else f"FiniteEnum({self.n})"
-
-
-DLO = Signature("DLO")
-
-
-def finite_enum(n: int) -> Signature:
-    return Signature("FiniteEnum", n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +177,6 @@ TRUE = Truth()
 FALSE = Falsity()
 
 
-
 # ---------------------------------------------------------------------------
 # structural helpers
 # ---------------------------------------------------------------------------
@@ -349,14 +228,6 @@ def is_quantifier_free(f: Formula) -> bool:
     return not any(isinstance(g, _Quantifier) for g in subformulas(f))
 
 
-def check_signature(f: Formula, sig: Signature) -> None:
-    """Reject formulas using symbols outside sig (raises ValueError, for
-    the first offending atom from the left)."""
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            _check_atom(g, sig)
-
-
 def _check_atom(a: Atom, sig: Signature) -> None:
     """Reject an atom using a symbol outside sig (raises ValueError)."""
     if sig.is_dlo:
@@ -368,54 +239,6 @@ def _check_atom(a: Atom, sig: Signature) -> None:
     for t in (a.lhs, a.rhs):
         if isinstance(t, Const) and not 0 <= t.index < sig.n:
             raise ValueError(f"constant c{t.index} not in signature (n = {sig.n})")
-
-
-def _term_vars(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Var) else set()
-
-
-def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
-    """Simultaneously replace free variables by terms, capture-avoiding.
-
-    Bound variables that would capture a substituted name are renamed with
-    the prime-suffix scheme (u, u', u'', ...).
-    """
-    for k, v in mapping.items():
-        if not isinstance(v, (Var, Const)):
-            raise TypeError(f"substitution for {k!r} must be a term, got {v!r}")
-    return _subst(f, dict(mapping))
-
-
-def _subst(g: Formula, m: dict[str, Term]) -> Formula:
-    if not m:
-        return g
-    if isinstance(g, Atom):
-        lhs = m.get(g.lhs.name, g.lhs) if isinstance(g.lhs, Var) else g.lhs
-        rhs = m.get(g.rhs.name, g.rhs) if isinstance(g.rhs, Var) else g.rhs
-        if lhs is g.lhs and rhs is g.rhs:
-            return g
-        return Atom(lhs, g.rel, rhs)
-    if isinstance(g, Not):
-        return Not(_subst(g.body, m))
-    if isinstance(g, _Binary):
-        return type(g)(_subst(g.lhs, m), _subst(g.rhs, m))
-    if isinstance(g, _Quantifier):
-        body_free = set(free_vars(g.body))
-        m2 = {k: v for k, v in m.items() if k != g.var and k in body_free}
-        if not m2:
-            return g
-        image: set[str] = set()
-        for t in m2.values():
-            image |= _term_vars(t)
-        if g.var in image:
-            avoid = body_free | image | set(m2)
-            fresh = g.var
-            while fresh in avoid:
-                fresh += "'"
-            renamed = _subst(g.body, {g.var: Var(fresh)})
-            return type(g)(fresh, _subst(renamed, m2))
-        return type(g)(g.var, _subst(g.body, m2))
-    return g
 
 
 # ---------------------------------------------------------------------------

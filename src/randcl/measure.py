@@ -2,18 +2,17 @@
 
 A Partition is a list of named atoms with positive Fraction weights summing
 to one; an Event is a set of atom indices.  Everything downstream (event
-distance, generated subalgebras, refinement) stays in exact arithmetic.
+distance here, the parameters' event algebras in algebra, refinement in
+library) stays in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
-from .formula import Record
-
-_set = object.__setattr__
+from .records import Record, _set
 
 # Python's default limit on int <-> str conversion: past it an exact value
 # could not be printed, and building it can already take seconds
@@ -125,8 +124,7 @@ class Event(Record):
 
     @property
     def prob(self) -> Fraction:
-        nums = self.partition._nums
-        return Fraction(sum(map(nums.__getitem__, self.members)), self.partition._denom)
+        return _prob(self.partition, self.members)
 
     def is_top(self) -> bool:
         return len(self.members) == self.partition.size
@@ -152,6 +150,14 @@ class Event(Record):
         return "{" + ",".join(names[i] for i in sorted(self.members)) + "}"
 
 
+def _prob(part: Partition, members: Iterable[int]) -> Fraction:
+    """The probability of the atoms with the given distinct indices: one
+    integer sum of their numerators over the weights' common denominator.
+    The indices are not checked, so no Event need be built to measure
+    them."""
+    return Fraction(sum(map(part._nums.__getitem__, members)), part._denom)
+
+
 def _same_partition(a: Event, b: Event) -> None:
     # events of one space share the partition object: identity settles most
     if a.partition is not b.partition and a.partition != b.partition:
@@ -175,96 +181,4 @@ def complement(a: Event) -> Event:
 def event_dist(a: Event, b: Event) -> Fraction:
     """Probability of the symmetric difference."""
     _same_partition(a, b)
-    return Event(a.partition, a.members ^ b.members).prob
-
-
-class EventAlgebra(Record):
-    """A finite subalgebra, stored as its ordered list of atoms."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: Iterable[Event]):
-        atoms = tuple(atoms)
-        if not atoms:
-            raise ValueError("an algebra needs at least one atom")
-        part = atoms[0].partition
-        covered: set[int] = set()
-        for e in atoms:
-            if e.partition != part:
-                raise ValueError("partition mismatch")
-            if not e.members:
-                raise ValueError("algebra atoms must be nonempty")
-            if covered & e.members:
-                raise ValueError("algebra atoms must be disjoint")
-            covered |= e.members
-        if covered != set(range(part.size)):
-            raise ValueError("algebra atoms must cover everything")
-        _set(self, "atoms", tuple(sorted(atoms, key=lambda e: min(e.members))))
-
-    @property
-    def partition(self) -> Partition:
-        return self.atoms[0].partition
-
-    def contains(self, e: Event) -> bool:
-        """Whether e is a union of algebra atoms."""
-        _same_partition(e, self.atoms[0])
-        return all(
-            not (a.members & e.members) or a.members <= e.members
-            for a in self.atoms
-        )
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-
-def generated_algebra(part: Partition, gens: Sequence[Event]) -> EventAlgebra:
-    """Atoms of the Boolean subalgebra generated by gens.
-
-    Partition atoms are grouped by their membership pattern across the
-    generators; each group is one atom of the subalgebra.
-    """
-    for g in gens:
-        if g.partition != part:
-            raise ValueError("partition mismatch")
-    groups: dict[tuple[bool, ...], set[int]] = {}
-    for i in range(part.size):
-        pattern = tuple(i in g.members for g in gens)
-        groups.setdefault(pattern, set()).add(i)
-    return EventAlgebra(tuple(Event(part, frozenset(m)) for m in groups.values()))
-
-
-def refine(
-    part: Partition, atom: int | str, k: int
-) -> tuple[Partition, dict[int, tuple[int, ...]]]:
-    """Split one atom into k equal-weight pieces.
-
-    Returns the refined partition and a map from old atom index to the
-    tuple of new indices standing for it (singleton tuples off the split).
-    The pieces of atom 'w' are named 'w.1' .. 'w.k'.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    i0 = part.index(atom) if isinstance(atom, str) else atom
-    if not 0 <= i0 < part.size:
-        raise ValueError(f"atom index {i0!r} out of range")
-    new_atoms: list[tuple[str, Fraction]] = []
-    mapping: dict[int, tuple[int, ...]] = {}
-    for i, (name, w) in enumerate(part.atoms):
-        if i == i0:
-            first = len(new_atoms)
-            for j in range(k):
-                new_atoms.append((f"{name}.{j + 1}", w / k))
-            mapping[i] = tuple(range(first, first + k))
-        else:
-            mapping[i] = (len(new_atoms),)
-            new_atoms.append((name, w))
-    return Partition(tuple(new_atoms)), mapping
-
-
-def transport_event(
-    e: Event, refined: Partition, mapping: dict[int, tuple[int, ...]]
-) -> Event:
-    members: set[int] = set()
-    for i in e.members:
-        members.update(mapping[i])
-    return Event(refined, frozenset(members))
+    return _prob(a.partition, a.members ^ b.members)

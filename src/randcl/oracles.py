@@ -16,17 +16,16 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .closure import (
+from .algebra import (
     ParamSet,
     _assemble,
-    _fo_definable_on,
     _group_indices,
     _group_restrictions,
     _places,
     _resolve_params,
 )
+from .closure import _fo_definable_on
 from .formula import (
-    DLO,
     TRUE,
     And,
     Atom,
@@ -39,14 +38,14 @@ from .formula import (
     Implies,
     Not,
     Or,
-    Signature,
     Truth,
     Var,
     free_vars,
-    substitute,
 )
+from .library import substitute
 from .randvar import RandomElement, Randomization, _type_rows
-from .theory import Value, _check_assignment, conj_all, eval_qf, qe
+from .records import DLO, Signature, Value
+from .theory import _check_assignment, conj_all, eval_qf, qe
 
 
 # ---------------------------------------------------------------------------

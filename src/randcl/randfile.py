@@ -21,9 +21,9 @@ import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .formula import DLO, Signature, finite_enum
 from .measure import _MAX_DIGITS, Partition
 from .randvar import RandomElement, Randomization, _value_texts
+from .records import DLO, Signature, finite_enum
 
 _ENUM_RE = re.compile(r"enum\((\d+)\)\Z")
 

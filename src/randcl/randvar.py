@@ -2,33 +2,22 @@
 
 An element is a step function over the partition: one theory value per
 atom (rationals for DLO, 0..n-1 for FiniteEnum).  This module evaluates
-formula events pointwise, measures the distance between elements, and
-provides the pointwise combinators: glue, indicator, if_less, min, max,
-and the deterministic witness builder.
+formula events per type of the bound values, measures the distance
+between elements and glues two elements along an event.  The witness
+builder is in witnesses; the other pointwise combinators (indicator,
+if_less, min, max) are in library.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import compress
 from operator import itemgetter, ne
 
-from .formula import (
-    Atom,
-    Const,
-    Exists,
-    Formula,
-    MutableRecord,
-    Record,
-    Signature,
-    subformulas,
-)
-from .measure import _MAX_DIGITS, _TOO_MANY_DIGITS, Event, Partition, as_fraction
-from .theory import Value, _check_assignment, eval_qf, qe
-
-_set = object.__setattr__
+from .measure import Event, Partition, _prob, as_fraction
+from .records import MutableRecord, Record, Signature, Value, _set
 
 
 class RandomElement(Record):
@@ -254,15 +243,19 @@ def _per_type(
 
 def eval_event(
     r: Randomization,
-    f: Formula,
+    f,
     binding: Mapping[str, str | RandomElement],
 ) -> Event:
-    """The event on which f holds, with variables bound to elements.
+    """The event on which the formula f holds, with variables bound to
+    elements.
 
     f is decided once per type of the bound values (see _per_type), by
     eval_qf on qe(f) in either theory.  A symbol outside the signature
-    raises before an unbound variable does.
+    raises before an unbound variable does.  theory (and formula) is
+    imported here, so a request that evaluates no formula compiles neither.
     """
+    from .theory import _check_assignment, eval_qf, qe
+
     decide = partial(eval_qf, qe(f, r.sig))
     bound = {v: _resolve(r, p) for v, p in binding.items()}
     _check_assignment(f, bound)
@@ -271,17 +264,22 @@ def eval_event(
     return Event(r.partition, members)
 
 
-def differs(a: RandomElement, b: RandomElement) -> Event:
-    """The event on which a and b take different values."""
+def _differing(a: RandomElement, b: RandomElement) -> Iterator[int]:
+    """The indices of the atoms where a and b take different values."""
     _compatible(a, b)
     xs, ys = _int_columns(a.sig, (a, b))
-    members = frozenset(compress(range(len(xs)), map(ne, xs, ys)))
-    return Event(a.partition, members)
+    return compress(range(len(xs)), map(ne, xs, ys))
+
+
+def differs(a: RandomElement, b: RandomElement) -> Event:
+    """The event on which a and b take different values."""
+    return Event(a.partition, frozenset(_differing(a, b)))
 
 
 def elem_dist(a: RandomElement, b: RandomElement) -> Fraction:
-    """Probability that a and b differ."""
-    return differs(a, b).prob
+    """Probability that a and b differ, measured without building the
+    event."""
+    return _prob(a.partition, _differing(a, b))
 
 
 def glue(a: RandomElement, b: RandomElement, e: Event) -> RandomElement:
@@ -294,174 +292,3 @@ def glue(a: RandomElement, b: RandomElement, e: Event) -> RandomElement:
         for i in range(a.partition.size)
     )
     return RandomElement(a.sig, a.partition, values)
-
-
-def indicator(e: Event, a: RandomElement, b: RandomElement) -> RandomElement:
-    """The element reading a on e and b elsewhere, for everywhere-apart a, b.
-
-    Requiring a and b to differ on every atom makes the result determine e
-    exactly, so it characterizes the event; raises ValueError otherwise.
-    """
-    _compatible(a, b)
-    if not differs(a, b).is_top():
-        raise ValueError("elements agree somewhere, no characteristic element")
-    return glue(a, b, e)
-
-
-def if_less(
-    a: RandomElement, b: RandomElement, x: RandomElement, y: RandomElement
-) -> RandomElement:
-    """Pointwise: x where a < b, else y (DLO only)."""
-    _compatible(a, b)
-    _compatible(a, x)
-    _compatible(a, y)
-    if not a.sig.is_dlo:
-        raise ValueError("if_less needs an ordered theory")
-    values = tuple(
-        xv if av < bv else yv
-        for av, bv, xv, yv in zip(a.values, b.values, x.values, y.values)
-    )
-    return RandomElement(a.sig, a.partition, values)
-
-
-def pointwise_min(a: RandomElement, b: RandomElement) -> RandomElement:
-    return if_less(a, b, a, b)
-
-
-def pointwise_max(a: RandomElement, b: RandomElement) -> RandomElement:
-    return if_less(a, b, b, a)
-
-
-def transport_elem(
-    elem: RandomElement, refined: Partition, mapping: dict[int, tuple[int, ...]]
-) -> RandomElement:
-    values: list[Value] = [0] * refined.size
-    for i, v in enumerate(elem.values):
-        for j in mapping[i]:
-            values[j] = v
-    return RandomElement(elem.sig, refined, tuple(values))
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-# ---------------------------------------------------------------------------
-
-def witness(
-    r: Randomization,
-    theta: Formula,
-    u: str,
-    binding: Mapping[str, str | RandomElement] | None = None,
-) -> RandomElement:
-    """A deterministic element w with theta(w) holding wherever possible.
-
-    Atom by atom, the bound values carve the line into order regions
-    (each value; each open interval between consecutive values; below all;
-    above all) on which the truth of theta is constant.  The choice is, in
-    order of preference: midpoint of the tightest satisfying bounded open
-    interval, smallest satisfying value (forced equality), one below the
-    smallest value when only the left tail satisfies, one above the largest
-    when only the right tail does, and 0 when nothing satisfies or no
-    values are bound.  For FiniteEnum the smallest satisfying domain value
-    is chosen, default 0.
-
-    Raises ValueError when a chosen value's numerator or denominator has
-    more than _MAX_DIGITS digits, so it could not be printed: a midpoint's
-    denominator can have twice the digits of the values around it.
-
-    Which regions satisfy depends only on the type of the bound values
-    (oracles.type_key), so it is decided once per type that occurs; each
-    atom then only does the arithmetic of its own values.
-    """
-    g = qe(theta, r.sig)
-    bound = {v: _resolve(r, p) for v, p in (binding or {}).items()}
-    _check_assignment(Exists(u, theta), bound)  # u itself needs no binding
-    params = {var: e for var, e in bound.items() if var != u}
-    columns = _int_columns(r.sig, tuple(params.values()))
-    if r.sig.is_dlo:
-        # the bound values by their ints
-        value_of: dict[int, Fraction] = {}
-        for col, e in zip(columns, params.values()):
-            value_of.update(zip(col, e.values))
-        rule = partial(_dlo_rule, g, u, value_of)
-    else:
-        assert r.sig.n is not None
-        rule = partial(_enum_rule, r.sig.n, g, u)
-    # each atom's bound values as ints; none bound means () on every atom
-    rows = list(zip(*columns)) if columns else [()] * r.partition.size
-    # an atom's ints fix its type, so its rule: each distinct row's witness
-    # is worked out once (kept: per atom, the four wide witness requests
-    # took 495 -> 530 ms CPU)
-    value = dict(zip(rows, _per_type(r, params, rule)))
-    for row, choose in value.items():
-        w = value[row] = choose(row)
-        if abs(w.numerator) >= _TOO_MANY_DIGITS or w.denominator >= _TOO_MANY_DIGITS:
-            raise ValueError(f"witness value has more than {_MAX_DIGITS} digits")
-    return RandomElement(r.sig, r.partition, tuple(map(value.__getitem__, rows)))
-
-
-def _enum_rule(
-    n: int, g: Formula, u: str, assign: dict[str, Value]
-) -> Callable[[tuple[Value, ...]], Value]:
-    """The smallest domain value satisfying g for this tuple, default 0.
-
-    g compares u only by = with the assigned values and its constants, M:
-    every value outside M satisfies g alike, and the smallest of them is at
-    most |M|.  So the smallest of M ∪ {0..|M|} below n that satisfies g is
-    the smallest domain value that does, found without scanning range(n).
-    """
-    marks = {*assign.values()}
-    marks.update(
-        t.index
-        for a in subformulas(g)
-        if isinstance(a, Atom)
-        for t in (a.lhs, a.rhs)
-        if isinstance(t, Const)
-    )
-    tries = sorted(marks.union(range(len(marks) + 1)))
-    pick = next((d for d in tries if d < n and eval_qf(g, {**assign, u: d})), 0)
-    return lambda _: pick
-
-
-def _dlo_rule(
-    g: Formula, u: str, value_of: dict[int, Fraction], ranks: dict[str, int]
-) -> Callable[[tuple[int, ...]], Fraction]:
-    """The witness rule (see witness) for one order type of the bound
-    values, given as their dense ranks: it maps an atom's row of bound
-    values of that type, as ints (see _int_columns) that value_of turns
-    back into values, to the witness value there.
-
-    The regions are decided on the ranks doubled, so that 2j + 1 lies in
-    the gap above rank j, -1 below all and 2 * top + 1 above all.
-    """
-    if not ranks:
-        return lambda _: Fraction(0)  # sole order region; also the default
-    top = max(ranks.values())
-    assign = {v: 2 * k for v, k in ranks.items()}
-
-    def sat(point: int) -> bool:
-        assign[u] = point
-        return eval_qf(g, assign)
-
-    # position in the bound tuple of a value of each rank, lowest rank first
-    first: dict[int, int] = {}
-    for pos, k in enumerate(ranks.values()):
-        first.setdefault(k, pos)
-    at = [first[k] for k in range(top + 1)]
-    gaps = [j for j in range(top) if sat(2 * j + 1)]
-    if gaps:
-
-        def tightest_midpoint(row: tuple[int, ...]) -> Fraction:
-            vals = [value_of[row[pos]] for pos in at]  # lowest first
-            # min keeps the lowest of equally tight gaps
-            j = min(gaps, key=lambda j: vals[j + 1] - vals[j])
-            return Fraction(vals[j] + vals[j + 1], 2)
-
-        return tightest_midpoint
-    for j in range(top + 1):
-        if sat(2 * j):
-            return lambda row: value_of[row[at[j]]]
-    if sat(-1):
-        return lambda row: value_of[row[at[0]]] - 1
-    if sat(2 * top + 1):
-        return lambda row: value_of[row[at[top]]] + 1
-    return lambda _: Fraction(0)

@@ -4,19 +4,17 @@ Both theories, dense linear orders without endpoints and finite
 enumerated domains, are decided by one quantifier eliminator: a
 quantifier becomes the truth of its body at a few test points, however
 large an enumerated domain is, and every evaluator is qe followed by
-eval_qf; each answer is kept on its formula node only.  On top of that
-sit the isolating formulas of realized types that drive the closure deciders.
-The independent reference routes (direct evaluation, validity, the full
-list of isolating formulas) are in oracles.
+eval_qf; each answer is kept on its formula node only.  The isolating
+formulas that drive the closure deciders are in closure, and the
+independent reference routes (direct evaluation, validity, the full list
+of isolating formulas) in oracles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Iterable, Mapping
 
 from .formula import (
-    DLO,
     FALSE,
     TRUE,
     And,
@@ -30,7 +28,6 @@ from .formula import (
     Implies,
     Not,
     Or,
-    Signature,
     Term,
     Truth,
     Var,
@@ -39,10 +36,7 @@ from .formula import (
     is_quantifier_free,
     subformulas,
 )
-
-Value = Fraction | int
-
-_set = object.__setattr__
+from .records import DLO, Signature, Value, _set
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +293,3 @@ def _check_assignment(f: Formula, assign: Mapping[str, Value]) -> None:
     for v in free_vars(f):
         if v not in assign:
             raise ValueError(f"unassigned free variable {v!r}")
-
-
-# ---------------------------------------------------------------------------
-# isolating formulas
-# ---------------------------------------------------------------------------
-
-def isolating_vars(n: int) -> list[str]:
-    """Variable names v1..vn of the isolating formulas."""
-    return [f"v{i}" for i in range(1, n + 1)]
-
-
-def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
-    """The member of oracles.isolating_formulas(sig, len(key)) satisfied by
-    every tuple whose oracles.type_key is key.
-
-    For a dense linear order the variables are sorted by (rank, index) and
-    chained with < between ranks and = inside one, which is the
-    representative oracles._isolating_dlo builds for that weak ordering; for
-    FiniteEnum each vi is pinned to its constant.
-    """
-    if not sig.is_dlo:
-        return conj_all(
-            Atom(Var(f"v{i + 1}"), "=", Const(c)) for i, c in enumerate(key)
-        )
-    order = sorted(range(len(key)), key=lambda i: (key[i], i))
-    return conj_all(
-        Atom(
-            Var(f"v{i + 1}"),
-            "=" if key[i] == key[j] else "<",
-            Var(f"v{j + 1}"),
-        )
-        for i, j in zip(order, order[1:])
-    )

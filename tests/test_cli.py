@@ -19,7 +19,8 @@ from randcl import (
     parse,
     witness,
 )
-from randcl.cli import _commands, _plain_args, build_parser, main
+from randcl.cli import _commands, _plain_args, main
+from randcl.usage import build_parser
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SWAP = str(SAMPLES / "swap_pair.json")
@@ -401,7 +402,9 @@ def test_parser_messages_are_the_golden_ones(case, capsys, monkeypatch):
 @pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "-")
 def test_parser_of_one_command_prints_as_the_full_parser(case, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parser_run(capsys, lambda: build_parser().parse_args(case["argv"]))
+    full = _parser_run(
+        capsys, lambda: build_parser(_commands()).parse_args(case["argv"])
+    )
     assert _parser_run(capsys, lambda: main(case["argv"])) == full
 
 
@@ -421,7 +424,7 @@ def test_plain_args_are_argparse_s_or_none(head, command, tail):
     argv = [*head, command, *tail]
     plain = _plain_args(argv)
     if plain is not None:
-        assert vars(plain) == vars(build_parser().parse_args(argv))
+        assert vars(plain) == vars(build_parser(_commands()).parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -439,7 +442,7 @@ def test_plain_args_are_argparse_s_or_none(head, command, tail):
 def test_plain_argv_skips_argparse(argv):
     plain = _plain_args(argv)
     assert plain is not None
-    assert vars(plain) == vars(build_parser().parse_args(argv))
+    assert vars(plain) == vars(build_parser(_commands()).parse_args(argv))
 
 
 def test_internal_error_exit_three(capsys, monkeypatch):

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import randcl
-from randcl.cli import build_parser, main
+from randcl.cli import _commands, main
+from randcl.usage import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SWAP = str(ROOT / "samples" / "swap_pair.json")
@@ -122,7 +123,9 @@ REQUESTS = {
 
 def test_requests_cover_every_subcommand():
     (sub,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        a
+        for a in build_parser(_commands())._actions
+        if isinstance(a, argparse._SubParsersAction)
     ]
     assert sorted(sub.choices) == sorted(REQUESTS)
 
@@ -142,12 +145,23 @@ def test_no_request_enumerates_the_isolating_formulas(command, capsys, monkeypat
     assert captured.out
 
 
-@pytest.mark.parametrize("command", sorted(REQUESTS))
-def test_fresh_process_answers_as_in_process(command, capsys):
+# each request as given, and under structured output, whose payloads
+# (_values_payloads, _event_payload, to_payload) only that path builds
+ANSWERED = {
+    **REQUESTS,
+    **{
+        f"structured-{command}": ["--format", "structured", *argv]
+        for command, argv in REQUESTS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANSWERED))
+def test_fresh_process_answers_as_in_process(case, capsys):
     # in process every module is loaded already, so a name that a handler
     # forgot to import would fail only for a user's fresh process
-    proc = _run(["-m", "randcl.cli", *REQUESTS[command]])
-    code = main(REQUESTS[command])
+    proc = _run(["-m", "randcl.cli", *ANSWERED[case]])
+    code = main(ANSWERED[case])
     captured = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
@@ -184,27 +198,79 @@ _LOADED = (
     "assert main(sys.argv[1:]) == 0\n"
     "print(*sorted(sys.modules))\n"
 )
-# every request compiles each module it imports: a subcommand loads only
-# the modules it runs
-NOT_LOADED = {
-    "eval": {"closure", "checks", "oracles"},
-    "witness": {"closure", "checks", "oracles"},
-    "dist": {"closure", "checks", "oracles"},
-    "glue": {"closure", "checks", "oracles"},
-    "dclb": {"checks", "oracles"},
-    "dcl": {"checks", "oracles"},
-    "lcl": {"checks", "oracles"},
-    "isdef": {"checks", "oracles"},
-    "pointwise": {"checks", "oracles"},
+# every request compiles each module it imports, so a subcommand loads
+# exactly the modules it runs: the package and these submodules
+_EVERY = ("cli", "measure", "randfile", "randvar", "records")
+_FORMULA = (*_EVERY, "formula", "theory")
+_ALGEBRA = (*_EVERY, "algebra")
+_CHECKS = (
+    *_FORMULA, "algebra", "checks", "closure", "library", "oracles", "witnesses"
+)
+LOADED = {
+    "dist": _EVERY,
+    "glue": _EVERY,
+    "dclb": _ALGEBRA,
+    "dcl": _ALGEBRA,
+    "lcl": _ALGEBRA,
+    "pointwise": _ALGEBRA,
+    "eval": _FORMULA,
+    "witness": (*_FORMULA, "witnesses"),
+    "isdef": (*_FORMULA, "algebra", "closure"),
+    "check": _CHECKS,
+    "fuzz": _CHECKS,
 }
 
 
-@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+@pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_a_request_loads_only_the_modules_it_runs(command):
     out = _fresh(_LOADED, *REQUESTS[command])
-    loaded = set(out.splitlines()[-1].split())
-    assert "randcl.randvar" in loaded
-    assert loaded.isdisjoint(f"randcl.{m}" for m in NOT_LOADED[command])
+    loaded = {m for m in out.splitlines()[-1].split() if m.split(".")[0] == "randcl"}
+    assert loaded == {"randcl", *(f"randcl.{m}" for m in LOADED[command])}
+
+
+def _source_lines(module: str) -> int:
+    package = Path(randcl.__file__).resolve().parent
+    return len((package / f"{module}.py").read_text().splitlines())
+
+
+def _readme_loaded_lines() -> dict[str, int]:
+    """subcommand -> the lines column of README's table of the modules
+    each subcommand loads."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("### Where a request's time goes"):]
+    table = section[section.index("| subcommands |"):].split("\n\n")[0]
+    lines = {}
+    for row in table.splitlines()[2:]:
+        commands, _, count, _ = row.strip("|").split("|")
+        for command in re.findall(r"`([a-z]+)`", commands):
+            lines[command] = int(count)
+    return lines
+
+
+def test_readme_gives_the_lines_each_subcommand_loads():
+    # the table's lines column, recomputed from LOADED: the package's
+    # __init__ and each submodule a request of the command loads
+    want = {
+        command: _source_lines("__init__") + sum(map(_source_lines, modules))
+        for command, modules in LOADED.items()
+    }
+    assert _readme_loaded_lines() == want
+
+
+@pytest.mark.parametrize("command", ["check", "help"])
+def test_the_program_does_not_import_cli_again(command):
+    # python -m randcl.cli runs cli as __main__, so a module that imported
+    # randcl.cli would compile it a second time
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('randcl.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('randcl.cli' in sys.modules)\n"
+    )
+    argv = ["--help"] if command == "help" else REQUESTS[command]
+    assert _fresh(code, *argv).splitlines()[-1] == "False"
 
 
 # argparse's import, with gettext, and its parser, which imports locale,
@@ -255,7 +321,7 @@ def test_dir_submodules_and_unknown_names():
         "import sys, randcl\n"
         "print(sorted(set(randcl.__all__) - set(dir(randcl))))\n"
         "print(randcl.closure is sys.modules['randcl.closure'])\n"
-        "print(randcl.definable_closure is randcl.closure.definable_closure)\n"
+        "print(randcl.definable_closure is randcl.algebra.definable_closure)\n"
     )
     assert _fresh(code) == "[]\nTrue\nTrue\n"
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

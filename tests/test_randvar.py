@@ -49,8 +49,8 @@ from randcl import (
     transport_elem,
     witness,
 )
+from randcl.algebra import _places
 from randcl.checks import perturb_element, random_formula, random_instance
-from randcl.closure import _places
 from randcl.oracles import definable_in_model, type_key
 from randcl.randvar import _exact_keys, _int_columns, _type_rows
 
@@ -173,9 +173,20 @@ def test_elem_dist_metric_axioms(swap_pair):
     for x in elems:
         for y in elems:
             assert elem_dist(x, y) == elem_dist(y, x)
+            assert elem_dist(x, y) == differs(x, y).prob
             assert (elem_dist(x, y) == 0) == (x.values == y.values)
             for z in elems:
                 assert elem_dist(x, z) <= elem_dist(x, y) + elem_dist(y, z)
+
+
+def test_elem_dist_checks_both_elements_share_a_space(swap_pair):
+    a = swap_pair.element("a")
+    elsewhere = RandomElement(DLO, partition([("w1", 1)]), (0,))
+    with pytest.raises(ValueError, match="partition mismatch"):
+        elem_dist(a, elsewhere)
+    enum = RandomElement(finite_enum(2), a.partition, (0, 1))
+    with pytest.raises(ValueError, match="signature mismatch"):
+        elem_dist(a, enum)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +454,7 @@ def test_transport_preserves_elem_dist(swap_pair):
 # that compare as the values do: under DLO floor(v * 2**k), k the largest
 # of the elements' own widths (twice the bit length of an element's largest
 # denominator, at least 64); under an enumerated domain the values.
-# _type_rows, closure._places, pointwise_definable_event, differs and
+# _type_rows, algebra._places, pointwise_definable_event, differs and
 # witness compare those integers.  Each is checked against a reference on
 # the values themselves, on instances with mixed denominators and with
 # elements built through the public constructor from values no file holds:

@@ -34,9 +34,9 @@ from randcl import (
     refine,
     transport_event,
 )
-from randcl import closure
+from randcl import algebra
+from randcl.algebra import _resolve_params
 from randcl.checks import corpus, perturb_element, random_instance, sample_params
-from randcl.closure import _resolve_params
 from randcl.oracles import _if_less_closure_naive, type_key
 
 CORPUS_SEED = 20260817  # the acceptance corpus
@@ -230,7 +230,7 @@ def test_isdef_does_not_enumerate_the_closure(monkeypatch):
     def refuse(*_):
         raise AssertionError("definability_report enumerated the closure")
 
-    monkeypatch.setattr(closure, "definable_closure", refuse)
+    monkeypatch.setattr(algebra, "definable_closure", refuse)
     b = r.element("b")
     assert definability_report(r, b, params).paths["closure_member"] is True
     moved = RandomElement(r.sig, part, (b.values[0] + Fraction(1, 3),) + b.values[1:])

@@ -46,7 +46,7 @@ from randcl import (
 )
 import randcl
 from randcl.checks import CheckResult, random_formula
-from randcl.formula import Record
+from randcl.records import Record
 
 HALVES = "Partition(atoms=(('w1', Fraction(1, 2)), ('w2', Fraction(1, 2))))"
 DLO_REPR = "Signature(kind='DLO', n=None)"
