@@ -12,7 +12,11 @@ are here too, so no other request compiles them.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
 import random
+import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
@@ -494,13 +498,146 @@ def corpus(seed: int, dlo: int, enum: int) -> list[Randomization]:
 def run_fuzz(
     count: int, seed: int
 ) -> list[tuple[Randomization, list[CheckResult]]]:
-    """Generate instances from the seed and run the full suite on each."""
+    """Generate instances from the seed and run the full suite on each.
+
+    Every instance and its check seed are drawn here, in order; the
+    instances then run on one worker per usable CPU (see _run_shares),
+    and their results and first error come back in instance order, so
+    the answer does not depend on the number of workers."""
     rng = random.Random(seed)
-    out = []
+    jobs = []
     for _ in range(count):
         inst = random_instance(rng)
-        sub = random.Random(rng.getrandbits(64))
-        out.append((inst, run_checks(inst, sub)))
+        jobs.append((inst, rng.getrandbits(64)))
+    results = _run_shares(jobs, _workers(count))
+    return [(inst, res) for (inst, _), res in zip(jobs, results)]
+
+
+# ---------------------------------------------------------------------------
+# fuzz workers
+# ---------------------------------------------------------------------------
+
+# The instances are independent once drawn, so run_fuzz deals them
+# stride-wise over forked workers: worker w runs instances w, w + W, ...
+# and the parent runs worker 0's share itself.  Forking costs a fraction
+# of a millisecond, where a spawned worker would start an interpreter and
+# compile the package again; multiprocessing is not used, since importing
+# it costs more than the workers save on a short request, and marshal,
+# which is always loaded, carries the results.
+
+# an error a worker raises comes back as the first of these it is an
+# instance of, with its type's name and its text
+_ERROR_BASES = (ValueError, RecursionError, Exception)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(count: int) -> int:
+    """One worker per usable CPU, at most one per instance; one where the
+    process cannot fork, or runs other threads, which a fork would leave
+    holding their locks in the child."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    return max(1, min(count, _usable_cpus()))
+
+
+def _run_share(jobs) -> tuple[list[list[CheckResult]], Exception | None]:
+    """The results of each job in order, up to the first that raises, and
+    that job's error (None when every job ran)."""
+    done = []
+    try:
+        for inst, s in jobs:
+            done.append(run_checks(inst, random.Random(s)))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _serve_share(jobs, fd: int) -> None:
+    """A forked child's whole life: run the share, write it to fd, exit.
+    Exit status 0 means the whole share was written."""
+    code = 1
+    try:
+        # this process's collections leave the inherited objects alone,
+        # so their pages stay shared with the parent
+        gc.freeze()
+        done, exc = _run_share(jobs)
+        error = None
+        if exc is not None:
+            base = next(i for i, b in enumerate(_ERROR_BASES) if isinstance(exc, b))
+            error = (base, type(exc).__name__, str(exc))
+        rows = [[(c.name, c.passed, c.detail) for c in res] for res in done]
+        with open(fd, "wb") as pipe:
+            pipe.write(marshal.dumps((rows, error)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data: bytes) -> tuple[list[list[CheckResult]], Exception | None]:
+    """A child's share as _run_share returns it; its error is rebuilt with
+    the same type name, text and kind (see _ERROR_BASES)."""
+    rows, error = marshal.loads(data)
+    done = [[CheckResult(*row) for row in res] for res in rows]
+    if error is None:
+        return done, None
+    base, name, text = error
+    return done, type(name, (_ERROR_BASES[base],), {})(text)
+
+
+def _run_shares(jobs, workers: int) -> list[list[CheckResult]]:
+    """Each job's results, in order, from workers forked for every share
+    but the first, which runs here (all of them, for one worker).  The
+    first job in order that raised, or whose worker ended without sending
+    its share, raises here, as a loop over the jobs would have raised on
+    it; every child is reaped."""
+    shares = [jobs[w::workers] for w in range(workers)]
+    children: list[tuple[int, int]] = []  # (pid, read end) per forked share
+    statuses: dict[int, int] = {}  # wait status of each child reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                for fd in (read_end, *(fd for _, fd in children)):
+                    os.close(fd)
+                _serve_share(share, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        outcomes = [_run_share(shares[0])]
+        for pid, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            statuses[pid] = os.waitpid(pid, 0)[1]
+            outcomes.append(_received(data) if statuses[pid] == 0 else None)
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if pid not in statuses:  # interrupted: no result is awaited
+                import signal  # only on this path
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    out = []
+    for i in range(len(jobs)):
+        outcome = outcomes[i % workers]
+        if outcome is None:
+            raise RuntimeError(f"the worker of fuzz instance {i} ended without a result")
+        done, exc = outcome
+        if i // workers == len(done):
+            raise exc
+        out.append(done[i // workers])
     return out
 
 

@@ -50,7 +50,11 @@ class Partition(Record):
             raise ValueError("duplicate atom names")
         if not names:
             raise ValueError("a partition needs at least one atom")
-        ratios = list(map(Fraction.as_integer_ratio, weights))
+        # each distinct weight object is worked out once, keyed by
+        # identity, as randvar._floor_keys does: the loader shares one
+        # Fraction among the atoms of equal weight strings
+        objs = dict(zip(map(id, weights), weights))
+        ratios = list(map(Fraction.as_integer_ratio, objs.values()))
         # every probability's denominator divides the weights' common one,
         # so bounding it keeps every probability printable; it is checked
         # as it grows, so coprime denominators never build a huge one
@@ -61,7 +65,8 @@ class Partition(Record):
                 raise ValueError(
                     f"weights' common denominator has more than {_MAX_DIGITS} digits"
                 )
-        nums = tuple([n * (denom // d) for n, d in ratios])
+        num = dict(zip(objs, [n * (denom // d) for n, d in ratios]))
+        nums = tuple(map(num.__getitem__, map(id, weights)))
         if min(nums) <= 0:
             n, w = next((n, w) for n, w in zip(names, weights) if w <= 0)
             raise ValueError(f"atom {n!r} has nonpositive weight {w}")

@@ -21,7 +21,6 @@ from .algebra import (
     _assemble,
     _group_indices,
     _group_restrictions,
-    _places,
     _resolve_params,
 )
 from .closure import _fo_definable_on
@@ -248,13 +247,23 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
         return []
     per_group = _group_restrictions(r, elems, groups)
     # the parameters are resolved once, and each candidate runs only
-    # fo_definable_on's own rule
+    # fo_definable_on's own rule, on places read from its choice (see
+    # _places): under DLO a group is one atom, and its restriction of rank
+    # k has place 2k there; under an enumerated domain the restriction to
+    # constant v has place v on each atom of its group.  Only the
+    # accepted choices are built into elements.
     top, rows = r.partition.top(), _type_rows(r, tuple(elems))
-    return [
-        b
-        for b in _assemble(r, groups, itertools.product(*per_group))
-        if _fo_definable_on(r, top, rows, _places(r, elems, b))
+    scale = 2 if r.sig.is_dlo else 1
+    group_of = [0] * r.partition.size
+    for j, g in enumerate(groups):
+        for i in g:
+            group_of[i] = j
+    accepted = [
+        [per_group[j][k] for j, k in enumerate(choice)]
+        for choice in itertools.product(*(range(len(p)) for p in per_group))
+        if _fo_definable_on(r, top, rows, [scale * choice[j] for j in group_of])
     ]
+    return list(_assemble(r, groups, accepted))
 
 
 def if_less_closure(r: Randomization, params: ParamSet) -> list[RandomElement]:

@@ -284,6 +284,13 @@ def test_a_plain_request_loads_no_parser(command):
     assert PARSER_MODULES.isdisjoint(out.splitlines()[-1].split())
 
 
+def test_a_fuzz_request_loads_no_multiprocessing_or_pickle():
+    # fuzz forks its workers itself: importing multiprocessing, or pickle,
+    # would cost a request more than its workers save
+    out = _fresh(_LOADED, "fuzz", "--count", "4", "--seed", "1")
+    assert {"multiprocessing", "pickle"}.isdisjoint(out.splitlines()[-1].split())
+
+
 def test_help_still_loads_argparse():
     code = (
         "import sys\n"
