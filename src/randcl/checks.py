@@ -4,10 +4,13 @@ Every theorem-shaped property of the engine is expressed here as an exact
 check on one randomization instance: the two evaluation routes agree, the
 event map is a Boolean homomorphism, metrics satisfy their axioms, the
 closure enumerations computed by independent algorithms coincide, and all
-definability deciders return identical verdicts.  The generator draws
-small instances (2..6 atoms, exact dyadic or ternary weights) so every
-check stays brute-forceable.  The check and fuzz subcommands' handlers
-are here too, so no other request compiles them.
+definability deciders return identical verdicts.  Each check is a named
+function that returns the first failure it finds, "" when none.  The
+generator draws small instances (2..6 atoms, exact dyadic or ternary
+weights) so every check stays brute-forceable.  fuzz runs its instances
+on forked workers that send back only (name, detail) pairs.  The check
+and fuzz subcommands' handlers are here too, so no other request
+compiles them.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from fractions import Fraction
 
 from .algebra import (
     EventAlgebra,
-    _places,
     _resolve_params,
     definable_closure,
     fo_event_algebra,
 )
-from .closure import _fo_definable_on, _realized_events, definability_report
+from .closure import _realized_events, definability_report
 from .formula import (
     And,
     Atom,
@@ -44,6 +46,7 @@ from .formula import (
     is_quantifier_free,
 )
 from .library import (
+    fo_definable_on,
     generated_algebra,
     indicator,
     pointwise_max,
@@ -63,13 +66,12 @@ from .randfile import dumps, load, loads, to_payload
 from .randvar import (
     RandomElement,
     Randomization,
-    _type_rows,
     differs,
     elem_dist,
     eval_event,
     glue,
 )
-from .records import DLO, MutableRecord, Signature, finite_enum
+from .records import DLO, Signature, finite_enum
 from .theory import eval_qf, qe
 from .witnesses import witness
 
@@ -174,15 +176,9 @@ def sample_params(rng: random.Random, r: Randomization) -> list[str]:
 # the per-instance check suite
 # ---------------------------------------------------------------------------
 
-class CheckResult(MutableRecord):
-    """One check's outcome."""
-
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+# Each check takes the instance and the suite's rng and returns "" when it
+# held, the first failure it met otherwise, or None when it does not apply
+# to the instance.
 
 
 def _values(elems) -> list:
@@ -192,32 +188,23 @@ def _values(elems) -> list:
     return [e.values for e in elems]
 
 
-def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
-    results.append(CheckResult(name, ok, "" if ok else detail))
-
-
-def _check_evaluation_routes(results, r, rng) -> None:
+def _check_evaluation_routes(r, rng) -> str | None:
     # quantifier elimination against the direct region-search oracle
     if not r.sig.is_dlo:
-        return
-    ok, detail = True, ""
+        return None
     for _ in range(6):
         f = random_formula(rng, r.sig, ("p", "q", "s"), quantifiers=rng.randint(0, 2))
         g = qe(f)
         if not is_quantifier_free(g):
-            ok, detail = False, f"quantifier survived elimination in {f}"
-            break
+            return f"quantifier survived elimination in {f}"
         for _ in range(5):
             assign = {
                 v: _DLO_VALUES[rng.randrange(len(_DLO_VALUES))]
                 for v in ("p", "q", "s")
             }
             if eval_qf(g, assign) != eval_direct(f, assign):
-                ok, detail = False, f"routes disagree on {f} at {assign}"
-                break
-        if not ok:
-            break
-    _check(results, "evaluation-routes", ok, detail)
+                return f"routes disagree on {f} at {assign}"
+    return ""
 
 
 def _constants(r: Randomization) -> tuple[RandomElement, RandomElement]:
@@ -242,10 +229,9 @@ def _pool(r: Randomization) -> dict[str, RandomElement]:
     return pool
 
 
-def _check_event_homomorphism(results, r, rng) -> None:
+def _check_event_homomorphism(r, rng) -> str:
     binding = _pool(r)
     names = tuple(binding)
-    ok, detail = True, ""
     for _ in range(4):
         f = random_formula(rng, r.sig, names, quantifiers=rng.randint(0, 1))
         g = random_formula(rng, r.sig, names, quantifiers=rng.randint(0, 1))
@@ -255,23 +241,19 @@ def _check_event_homomorphism(results, r, rng) -> None:
             or eval_event(r, Or(f, g), binding) != join(ef, eg)
             or eval_event(r, Not(f), binding) != complement(ef)
         ):
-            ok, detail = False, f"homomorphism broken for {f} / {g}"
-            break
+            return f"homomorphism broken for {f} / {g}"
         # a tautology lands on the sure event
         if not eval_event(r, Or(f, Not(f)), binding).is_top():
-            ok, detail = False, f"excluded middle not sure for {f}"
-            break
-    _check(results, "event-homomorphism", ok, detail)
+            return f"excluded middle not sure for {f}"
+    return ""
 
 
-def _check_metrics(results, r, rng) -> None:
+def _check_metrics(r, rng) -> str:
     pool = _pool(r)
-    elems = list(pool.values())
     events = [
         eval_event(r, random_formula(rng, r.sig, tuple(pool), quantifiers=0), pool)
         for _ in range(3)
     ] + [r.partition.top(), r.partition.bottom()]
-    ok, detail = True, ""
     # every ordered pair measured once, each order by its own call; each
     # distance is compared as its numerator over the weights' common
     # denominator, which every probability's denominator divides
@@ -280,28 +262,21 @@ def _check_metrics(results, r, rng) -> None:
     def num(d: Fraction) -> int:
         return d.numerator * (denom // d.denominator)
 
-    de = [[num(elem_dist(a, b)) for b in elems] for a in elems]
-    dv = [[num(event_dist(x, y)) for y in events] for x in events]
-    for ia, a in enumerate(elems):
-        for ib, b in enumerate(elems):
-            d = de[ia][ib]
-            if d != de[ib][ia] or (d == 0) != (a.values == b.values):
-                ok, detail = False, "element metric axiom failed"
-            for ic in range(len(elems)):
-                if de[ia][ic] > d + de[ib][ic]:
-                    ok, detail = False, "element metric triangle failed"
-    for ix, x in enumerate(events):
-        for iy, y in enumerate(events):
-            d = dv[ix][iy]
-            if d != dv[iy][ix] or (d == 0) != (x == y):
-                ok, detail = False, "event metric axiom failed"
-            for iz in range(len(events)):
-                if dv[ix][iz] > d + dv[iy][iz]:
-                    ok, detail = False, "event metric triangle failed"
-    _check(results, "metric-axioms", ok, detail)
+    for kind, items, dist in (
+        ("element", list(pool.values()), elem_dist),
+        ("event", events, event_dist),
+    ):
+        d = [[num(dist(x, y)) for y in items] for x in items]
+        for ix, x in enumerate(items):
+            for iy, y in enumerate(items):
+                if d[ix][iy] != d[iy][ix] or (d[ix][iy] == 0) != (x == y):
+                    return f"{kind} metric axiom failed"
+                if any(d[ix][iz] > d[ix][iy] + d[iy][iz] for iz in range(len(items))):
+                    return f"{kind} metric triangle failed"
+    return ""
 
 
-def _check_glue(results, r, rng) -> None:
+def _check_glue(r, rng) -> str:
     elems = list(_pool(r).values())
     a = elems[rng.randrange(len(elems))]
     b = elems[rng.randrange(len(elems))]
@@ -318,13 +293,11 @@ def _check_glue(results, r, rng) -> None:
     recovered = frozenset(
         i for i, (v, w) in enumerate(zip(ind.values, hi.values)) if v == w
     )
-    ok = ok and recovered == e.members
-    _check(results, "glue-characteristic", ok, f"glue failed on {e}")
+    return "" if ok and recovered == e.members else f"glue failed on {e}"
 
 
-def _check_witness(results, r, rng) -> None:
+def _check_witness(r, rng) -> str:
     names = tuple(r.elements)[:2]
-    ok, detail = True, ""
     for _ in range(4):
         theta = random_formula(
             rng, r.sig, ("t",) + names, quantifiers=rng.randint(0, 1)
@@ -332,11 +305,9 @@ def _check_witness(results, r, rng) -> None:
         binding = {n: n for n in free_vars(theta) if n != "t"}
         w = witness(r, theta, "t", binding)
         got = eval_event(r, theta, {**binding, "t": w})
-        want = eval_event(r, Exists("t", theta), binding)
-        if got != want:
-            ok, detail = False, f"witness event mismatch for {theta}"
-            break
-    _check(results, "witness-event", ok, detail)
+        if got != eval_event(r, Exists("t", theta), binding):
+            return f"witness event mismatch for {theta}"
+    return ""
 
 
 def isolating_event_algebra(r: Randomization, params) -> EventAlgebra:
@@ -348,42 +319,33 @@ def isolating_event_algebra(r: Randomization, params) -> EventAlgebra:
     )
 
 
-def _check_algebra_routes(results, r, rng) -> None:
+def _check_algebra_routes(r, rng) -> str:
     A = sample_params(rng, r)
     ok = fo_event_algebra(r, A) == isolating_event_algebra(r, A)
-    empty = fo_event_algebra(r, [])
-    ok = ok and empty.atoms == (r.partition.top(),)
-    _check(results, "algebra-routes", ok, f"algebra routes disagree for A={A}")
+    ok = ok and fo_event_algebra(r, []).atoms == (r.partition.top(),)
+    return "" if ok else f"algebra routes disagree for A={A}"
 
 
-def _check_closure_routes(results, r, rng) -> None:
+def _check_closure_routes(r, rng) -> str:
     A = sample_params(rng, r)
     dc = definable_closure(r, A)
     vals = _values(dc)
-    ok = vals == _values(fo_definable_closure(r, A))
-    detail = f"formula route differs from closure for A={A}"
-    if ok:
-        # the membership test against the enumeration: every member is
-        # one, and each named element is one exactly when enumerated
-        elems, top = _resolve_params(r, A), r.partition.top()
-        rows = _type_rows(r, tuple(elems))
-
-        def member(b: RandomElement) -> bool:  # fo_definable_on(r, b, top, A)
-            return _fo_definable_on(r, top, rows, _places(r, elems, b))
-
-        ok = all(map(member, dc)) and all(
-            member(e) == (e.values in vals) for e in r.elements.values()
-        )
-        detail = f"closure membership differs from enumeration for A={A}"
-    if ok and r.sig.is_dlo:
-        lc = if_less_closure(r, A)
-        ok = _values(lc) == vals
-        detail = f"if_less closure differs from closure for A={A}"
-        if ok and len(dc) <= 10:
-            naive = _if_less_closure_naive(r, A)
-            ok = _values(naive) == _values(lc)
-            detail = f"if_less fixpoint routes disagree for A={A}"
-    _check(results, "closure-routes", ok, detail)
+    if vals != _values(fo_definable_closure(r, A)):
+        return f"formula route differs from closure for A={A}"
+    # the membership test against the enumeration: every member is one,
+    # and each named element is one exactly when enumerated
+    top = r.partition.top()
+    if not all(fo_definable_on(r, b, top, A) for b in dc) or any(
+        fo_definable_on(r, e, top, A) != (e.values in vals)
+        for e in r.elements.values()
+    ):
+        return f"closure membership differs from enumeration for A={A}"
+    if r.sig.is_dlo:
+        if _values(if_less_closure(r, A)) != vals:
+            return f"if_less closure differs from closure for A={A}"
+        if len(dc) <= 10 and _values(_if_less_closure_naive(r, A)) != vals:
+            return f"if_less fixpoint routes disagree for A={A}"
+    return ""
 
 
 def _definability_samples(rng, r, A: list[str]) -> list[RandomElement]:
@@ -398,18 +360,16 @@ def _definability_samples(rng, r, A: list[str]) -> list[RandomElement]:
     return picks
 
 
-def _check_definability_agreement(results, r, rng) -> None:
+def _check_definability_agreement(r, rng) -> str:
     A = sample_params(rng, r)
-    ok, detail = True, ""
     for b in _definability_samples(rng, r, A):
         report = definability_report(r, b, A)
         if not report.agree:
-            ok, detail = False, f"deciders disagree for {b} over A={A}: {report.paths}"
-            break
-    _check(results, "definability-agreement", ok, detail)
+            return f"deciders disagree for {b} over A={A}: {report.paths}"
+    return ""
 
 
-def _check_closure_laws(results, r, rng) -> None:
+def _check_closure_laws(r, rng) -> str:
     names = list(r.elements)
     k = rng.randint(0, min(2, len(names)))
     A = rng.sample(names, k)
@@ -418,16 +378,14 @@ def _check_closure_laws(results, r, rng) -> None:
     large = definable_closure(r, bigger)
     # both sorted: small is a subset of large iff a subsequence of it
     rest = iter(_values(large))
-    ok = all(any(v == w for w in rest) for v in _values(small))
-    detail = f"monotonicity failed for {A} vs {bigger}"
-    if ok:
-        again = definable_closure(r, small)
-        ok = _values(again) == _values(small)
-        detail = f"idempotence failed for A={A}"
-    _check(results, "closure-laws", ok, detail)
+    if not all(any(v == w for w in rest) for v in _values(small)):
+        return f"monotonicity failed for {A} vs {bigger}"
+    if _values(definable_closure(r, small)) != _values(small):
+        return f"idempotence failed for A={A}"
+    return ""
 
 
-def _check_refine_transport(results, r, rng) -> None:
+def _check_refine_transport(r, rng) -> str:
     i = rng.randrange(r.partition.size)
     k = rng.randint(2, 3)
     fine, mapping = refine(r.partition, i, k)
@@ -445,41 +403,45 @@ def _check_refine_transport(results, r, rng) -> None:
     te = transport_event(e, fine, mapping)
     ok = ok and e.prob == te.prob
     ok = ok and event_dist(e, r.partition.top()) == event_dist(te, fine.top())
-    _check(results, "refine-transport", ok, "transport changed a metric")
+    return "" if ok else "transport changed a metric"
 
 
-def _check_file_roundtrip(results, r, rng) -> None:
+def _check_file_roundtrip(r, rng) -> str:
     back = loads(dumps(r))
     ok = (
         back.sig == r.sig
         and back.partition == r.partition
         and back.elements == r.elements
     )
-    _check(results, "file-roundtrip", ok, "instance does not survive serialization")
+    return "" if ok else "instance does not survive serialization"
 
 
 _SUITE = (
-    _check_evaluation_routes,
-    _check_event_homomorphism,
-    _check_metrics,
-    _check_glue,
-    _check_witness,
-    _check_algebra_routes,
-    _check_closure_routes,
-    _check_definability_agreement,
-    _check_closure_laws,
-    _check_refine_transport,
-    _check_file_roundtrip,
+    ("evaluation-routes", _check_evaluation_routes),
+    ("event-homomorphism", _check_event_homomorphism),
+    ("metric-axioms", _check_metrics),
+    ("glue-characteristic", _check_glue),
+    ("witness-event", _check_witness),
+    ("algebra-routes", _check_algebra_routes),
+    ("closure-routes", _check_closure_routes),
+    ("definability-agreement", _check_definability_agreement),
+    ("closure-laws", _check_closure_laws),
+    ("refine-transport", _check_refine_transport),
+    ("file-roundtrip", _check_file_roundtrip),
 )
 
 
-def run_checks(r: Randomization, rng: random.Random | None = None) -> list[CheckResult]:
-    """Run every cross-check on one instance; results in a fixed order."""
+def run_checks(
+    r: Randomization, rng: random.Random | None = None
+) -> list[tuple[str, str]]:
+    """Run every cross-check on one instance: (name, detail) per check that
+    applies, in a fixed order, where detail is "" for a check that held."""
     rng = rng or random.Random(0)
-    results: list[CheckResult] = []
-    for check in _SUITE:
-        check(results, r, rng)
-    return results
+    return [
+        (name, detail)
+        for name, check in _SUITE
+        if (detail := check(r, rng)) is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +459,7 @@ def corpus(seed: int, dlo: int, enum: int) -> list[Randomization]:
 
 def run_fuzz(
     count: int, seed: int
-) -> list[tuple[Randomization, list[CheckResult]]]:
+) -> list[tuple[Randomization, list[tuple[str, str]]]]:
     """Generate instances from the seed and run the full suite on each.
 
     Every instance and its check seed are drawn here, in order; the
@@ -523,11 +485,8 @@ def run_fuzz(
 # of a millisecond, where a spawned worker would start an interpreter and
 # compile the package again; multiprocessing is not used, since importing
 # it costs more than the workers save on a short request, and marshal,
-# which is always loaded, carries the results.
-
-# an error a worker raises comes back as the first of these it is an
-# instance of, with its type's name and its text
-_ERROR_BASES = (ValueError, RecursionError, Exception)
+# which is always loaded, carries the results.  A worker sends only data:
+# a job that raised is run again in the parent, where it raises as itself.
 
 
 def _usable_cpus() -> int:
@@ -547,16 +506,16 @@ def _workers(count: int) -> int:
     return max(1, min(count, _usable_cpus()))
 
 
-def _run_share(jobs) -> tuple[list[list[CheckResult]], Exception | None]:
+def _run_share(jobs) -> tuple[list[list[tuple[str, str]]], bool]:
     """The results of each job in order, up to the first that raises, and
-    that job's error (None when every job ran)."""
+    whether one raised."""
     done = []
     try:
         for inst, s in jobs:
             done.append(run_checks(inst, random.Random(s)))
-    except Exception as exc:
-        return done, exc
-    return done, None
+    except Exception:
+        return done, True
+    return done, False
 
 
 def _serve_share(jobs, fd: int) -> None:
@@ -567,36 +526,20 @@ def _serve_share(jobs, fd: int) -> None:
         # this process's collections leave the inherited objects alone,
         # so their pages stay shared with the parent
         gc.freeze()
-        done, exc = _run_share(jobs)
-        error = None
-        if exc is not None:
-            base = next(i for i, b in enumerate(_ERROR_BASES) if isinstance(exc, b))
-            error = (base, type(exc).__name__, str(exc))
-        rows = [[(c.name, c.passed, c.detail) for c in res] for res in done]
+        data = marshal.dumps(_run_share(jobs))
         with open(fd, "wb") as pipe:
-            pipe.write(marshal.dumps((rows, error)))
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)
 
 
-def _received(data: bytes) -> tuple[list[list[CheckResult]], Exception | None]:
-    """A child's share as _run_share returns it; its error is rebuilt with
-    the same type name, text and kind (see _ERROR_BASES)."""
-    rows, error = marshal.loads(data)
-    done = [[CheckResult(*row) for row in res] for res in rows]
-    if error is None:
-        return done, None
-    base, name, text = error
-    return done, type(name, (_ERROR_BASES[base],), {})(text)
-
-
-def _run_shares(jobs, workers: int) -> list[list[CheckResult]]:
+def _run_shares(jobs, workers: int) -> list[list[tuple[str, str]]]:
     """Each job's results, in order, from workers forked for every share
-    but the first, which runs here (all of them, for one worker).  The
-    first job in order that raised, or whose worker ended without sending
-    its share, raises here, as a loop over the jobs would have raised on
-    it; every child is reaped."""
+    but the first, which runs here (all of them, for one worker).  Once
+    every child is reaped, the first job in order that raised runs again
+    here and raises as itself, as a loop over the jobs would have; one
+    whose worker ended without sending its results raises RuntimeError."""
     shares = [jobs[w::workers] for w in range(workers)]
     children: list[tuple[int, int]] = []  # (pid, read end) per forked share
     statuses: dict[int, int] = {}  # wait status of each child reaped
@@ -620,7 +563,7 @@ def _run_shares(jobs, workers: int) -> list[list[CheckResult]]:
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             statuses[pid] = os.waitpid(pid, 0)[1]
-            outcomes.append(_received(data) if statuses[pid] == 0 else None)
+            outcomes.append(marshal.loads(data) if statuses[pid] == 0 else None)
     finally:
         for pid, fd in children:
             os.close(fd)
@@ -630,14 +573,14 @@ def _run_shares(jobs, workers: int) -> list[list[CheckResult]]:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     out = []
-    for i in range(len(jobs)):
-        outcome = outcomes[i % workers]
-        if outcome is None:
-            raise RuntimeError(f"the worker of fuzz instance {i} ended without a result")
-        done, exc = outcome
-        if i // workers == len(done):
-            raise exc
-        out.append(done[i // workers])
+    for i, (inst, s) in enumerate(jobs):
+        done, raised = outcomes[i % workers] or ((), False)
+        if i // workers < len(done):
+            out.append(done[i // workers])
+            continue
+        if raised:
+            run_checks(inst, random.Random(s))  # raises again, as itself
+        raise RuntimeError(f"the worker of fuzz instance {i} ended without a result")
     return out
 
 
@@ -652,16 +595,16 @@ def _run_shares(jobs, workers: int) -> list[list[CheckResult]]:
 def _cmd_check(args) -> tuple[int, list[str], dict]:
     r = load(args.file)
     results = run_checks(r, random.Random(args.seed))
-    lines = []
-    for res in results:
-        mark = "ok  " if res.passed else "FAIL"
-        lines.append(f"{mark} {res.name}" + (f": {res.detail}" if res.detail else ""))
-    passed = sum(1 for res in results if res.passed)
+    lines = [
+        f"FAIL {name}: {detail}" if detail else f"ok   {name}"
+        for name, detail in results
+    ]
+    passed = sum(not detail for _, detail in results)
     lines.append(f"{passed}/{len(results)} checks passed")
     payload = {
         "checks": [
-            {"name": res.name, "passed": res.passed, "detail": res.detail}
-            for res in results
+            {"name": name, "passed": not detail, "detail": detail}
+            for name, detail in results
         ],
         "passed": passed,
         "total": len(results),
@@ -676,11 +619,10 @@ def _cmd_fuzz(args) -> tuple[int, list[str], dict]:
     lines = []
     failures = []
     for idx, (inst, results) in enumerate(outcomes):
-        bad = [res for res in results if not res.passed]
+        bad = [(name, detail) for name, detail in results if detail]
         if bad:
             failures.append((idx, inst, bad))
-            for res in bad:
-                lines.append(f"instance {idx}: FAIL {res.name}: {res.detail}")
+            lines += [f"instance {idx}: FAIL {name}: {detail}" for name, detail in bad]
     ok = len(outcomes) - len(failures)
     lines.append(f"{ok}/{len(outcomes)} instances passed all cross-checks")
     payload = {
@@ -690,7 +632,7 @@ def _cmd_fuzz(args) -> tuple[int, list[str], dict]:
             {
                 "index": idx,
                 "instance": to_payload(inst),
-                "failed": [res.name for res in bad],
+                "failed": [name for name, _ in bad],
             }
             for idx, inst, bad in failures
         ],

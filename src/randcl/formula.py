@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
+from .measure import _MAX_DIGITS
 from .records import DLO, Record, Signature, _set
 
 
@@ -414,6 +415,8 @@ class _Parser:
         if m:
             if self.sig.is_dlo:
                 raise ParseError("constant symbols not in DLO signature", pos)
+            if len(m.group(1)) > _MAX_DIGITS:
+                raise ParseError(f"constant has more than {_MAX_DIGITS} digits", pos)
             index = int(m.group(1))
             assert self.sig.n is not None
             if index >= self.sig.n:

@@ -35,6 +35,8 @@ def _parse_theory(raw: object) -> Signature:
         return DLO
     m = _ENUM_RE.match(raw)
     if m:
+        if len(m.group(1)) > _MAX_DIGITS:
+            raise ValueError(f"enum size has more than {_MAX_DIGITS} digits")
         return finite_enum(int(m.group(1)))
     raise ValueError(f"unknown theory {raw!r} (want 'dlo' or 'enum(n)')")
 
@@ -165,9 +167,23 @@ def to_payload(r: Randomization) -> dict:
     return {"theory": _theory_string(r.sig), "atoms": atoms, "elements": elements}
 
 
+class _Ints(dict):
+    """json's parse_int for one file: each distinct integer string is
+    converted once, after its digits are counted, so an integer past
+    _MAX_DIGITS digits is refused before it is built, whatever the
+    interpreter's own limit.  A repeated string costs one dict lookup,
+    less than json's own conversion of it."""
+
+    def __missing__(self, text: str) -> int:
+        if len(text.lstrip("-")) > _MAX_DIGITS:
+            raise ValueError(f"integer in file has more than {_MAX_DIGITS} digits")
+        value = self[text] = int(text)
+        return value
+
+
 def loads(text: str) -> Randomization:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_Ints().__getitem__)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

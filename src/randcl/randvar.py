@@ -186,10 +186,7 @@ def _int_columns(
     if not sig.is_dlo:
         return [e.values for e in elems]
     kept = list(map(_exact_keys, elems))
-    widths = set(map(itemgetter(0), kept))
-    if len(widths) < 2:  # one k, as for any denominators below 2**32
-        return list(map(itemgetter(1), kept))
-    k = max(widths)
+    k = max(map(itemgetter(0), kept), default=0)
     return [
         col if bits == k else _floor_keys(e.values, k)[1]
         for e, (bits, col) in zip(elems, kept)

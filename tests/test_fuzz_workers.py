@@ -56,7 +56,7 @@ def _both(capsys, monkeypatch, seed: int, fmt: str = "text"):
 
 
 def _add_check(monkeypatch, act) -> None:
-    """Run act(results, i) as one more check on instance i of each run;
+    """Run act(i) as one more check, "forced", on instance i of each run;
     the instances of every run are recorded in the order drawn."""
     drawn = []
     draw = checks.random_instance
@@ -65,12 +65,12 @@ def _add_check(monkeypatch, act) -> None:
         drawn.append(draw(rng, kind))
         return drawn[-1]
 
-    def extra(results, r, rng):
+    def extra(r, rng):
         # forked children share the parent's objects, so identity holds
-        act(results, next(i for i, d in enumerate(drawn) if d is r) % COUNT)
+        return act(next(i for i, d in enumerate(drawn) if d is r) % COUNT)
 
     monkeypatch.setattr(checks, "random_instance", recorded)
-    monkeypatch.setattr(checks, "_SUITE", (*checks._SUITE, extra))
+    monkeypatch.setattr(checks, "_SUITE", (*checks._SUITE, ("forced", extra)))
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -82,12 +82,7 @@ def test_workers_answer_as_one_process(capsys, monkeypatch, seed, fmt):
 
 
 def test_a_failure_in_a_child_is_reported_in_order(capsys, monkeypatch):
-    _add_check(
-        monkeypatch,
-        lambda results, i: checks._check(
-            results, "forced", i not in (1, 5), f"forced on {i}"
-        ),
-    )
+    _add_check(monkeypatch, lambda i: f"forced on {i}" if i in (1, 5) else "")
     code, out, err = _both(capsys, monkeypatch, 3)
     assert code == 3 and err == ""
     assert out.splitlines() == [
@@ -112,21 +107,38 @@ class Oops(Exception):
 )
 @pytest.mark.parametrize("raising", [(1,), (3,), (2, 3), (4, 2), (1, 5)])
 def test_the_first_error_in_order_is_reported(capsys, monkeypatch, exc, code, line, raising):
-    def act(results, i):
+    def act(i):
         if i in raising:
             raise exc(f"bad instance {i}")
+        return ""
 
     _add_check(monkeypatch, act)
     got = _both(capsys, monkeypatch, 4)
     assert got == (code, "", line.format(i=min(raising)) + "\n")
 
 
+@pytest.mark.parametrize("exc", [Oops, KeyError])
+def test_an_error_in_a_child_reaches_the_caller_as_itself(monkeypatch, exc):
+    def act(i):
+        if i == 5:  # the second child's
+            raise exc(f"bad instance {i}")
+        return ""
+
+    _add_check(monkeypatch, act)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
+    with pytest.raises(exc) as info:
+        checks.run_fuzz(COUNT, 4)
+    assert type(info.value) is exc
+    assert info.value.args == ("bad instance 5",)
+
+
 def test_a_killed_worker_is_an_internal_error(capsys, monkeypatch):
     parent = os.getpid()
 
-    def act(results, i):
+    def act(i):
         if i == 2 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
+        return ""
 
     _add_check(monkeypatch, act)
     got = _fuzz(capsys, monkeypatch, 3, 2)
@@ -134,6 +146,26 @@ def test_a_killed_worker_is_an_internal_error(capsys, monkeypatch):
         3,
         "",
         "error: internal: RuntimeError: the worker of fuzz instance 2 "
+        "ended without a result\n",
+    )
+
+
+def test_an_error_only_a_child_raises_is_an_internal_error(capsys, monkeypatch):
+    # the parent runs the job again to raise its error; when it does not
+    # raise there, no result exists for it
+    parent = os.getpid()
+
+    def act(i):
+        if i == 1 and os.getpid() != parent:
+            raise ValueError("only in a child")
+        return ""
+
+    _add_check(monkeypatch, act)
+    got = _fuzz(capsys, monkeypatch, 3, 2)
+    assert got == (
+        3,
+        "",
+        "error: internal: RuntimeError: the worker of fuzz instance 1 "
         "ended without a result\n",
     )
 

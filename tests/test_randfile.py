@@ -420,6 +420,54 @@ def test_digit_bound_edge(tmp_path, capsys):
     assert str(got.element("a").values[0]) == "1/1" + "0" * 4298
 
 
+_BIG = "7" * 5000  # an integer's digits, past the 4300-digit bound
+
+
+@pytest.mark.parametrize(
+    "text, formula, line",
+    [
+        (
+            json.dumps({"theory": f"enum({_BIG})", "atoms": [["w1", "1"]],
+                        "elements": {"a": [0]}}),
+            "a = a",
+            "error: enum size has more than 4300 digits\n",
+        ),
+        (
+            '{"theory": "enum(3)", "atoms": [["w1", "1"]], "elements": {"a": [%s]}}'
+            % _BIG,
+            "a = a",
+            "error: integer in file has more than 4300 digits\n",
+        ),
+        (
+            json.dumps({"theory": "enum(3)", "atoms": [["w1", "1"]],
+                        "elements": {"a": [1]}}),
+            f"a = c{_BIG}",
+            "error: constant has more than 4300 digits (at position 4)\n",
+        ),
+    ],
+    ids=["theory", "value", "constant"],
+)
+def test_integers_past_the_digit_bound_exit_two(text, formula, line, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(["eval", str(path), formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line
+    assert "set_int_max_str_digits" not in captured.err
+
+
+def test_integers_at_the_digit_bound_load(tmp_path, capsys):
+    n = "9" * 4300
+    path = tmp_path / "edge.json"
+    path.write_text(
+        '{"theory": "enum(%s)", "atoms": [["w1", "1"]], "elements": {"a": [%s]}}'
+        % (n, "9" * 4299)
+    )
+    assert load(path).sig.n == int(n)
+    assert main(["eval", str(path), "a = c" + "9" * 4299]) == 0
+    assert capsys.readouterr().out == "{w1}, probability = 1\n"
+
+
 _DENOM_LINE = "error: weights' common denominator has more than 4300 digits\n"
 
 

@@ -45,7 +45,7 @@ from randcl import (
     to_text,
 )
 import randcl
-from randcl.checks import CheckResult, random_formula
+from randcl.checks import random_formula
 from randcl.records import Record
 
 HALVES = "Partition(atoms=(('w1', Fraction(1, 2)), ('w2', Fraction(1, 2))))"
@@ -117,10 +117,6 @@ def test_repr_of_reports():
     assert repr(DefinabilityReport(True, {"pinning": True})) == (
         "DefinabilityReport(verdict=True, paths={'pinning': True})"
     )
-    assert repr(CheckResult("x", False, "d")) == (
-        "CheckResult(name='x', passed=False, detail='d')"
-    )
-    assert repr(CheckResult("y", True)) == "CheckResult(name='y', passed=True, detail='')"
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +175,7 @@ def test_mutable_records_compare_by_fields_and_are_unhashable():
     assert r1 != Randomization(DLO, elem.partition, {"b": elem})
     assert DefinabilityReport(True, {"x": True}) == DefinabilityReport(True, {"x": True})
     assert DefinabilityReport(True, {"x": True}) != DefinabilityReport(False, {"x": True})
-    assert CheckResult("x", True) == CheckResult("x", True, "")
-    assert CheckResult("x", True) != CheckResult("x", False)
-    for obj in (r1, DefinabilityReport(True, {}), CheckResult("x", True)):
+    for obj in (r1, DefinabilityReport(True, {})):
         with pytest.raises(TypeError):
             hash(obj)
 
@@ -217,9 +211,6 @@ def test_fields_cannot_be_assigned_or_deleted(x):
 def test_mutable_records_accept_assignment():
     r = Randomization(DLO, _halves())
     r.elements = {"a": RandomElement(DLO, r.partition, (0, 1))}
-    res = CheckResult("x", False)
-    res.detail = "d"
-    assert res == CheckResult("x", False, "d")
 
 
 def test_constructors_take_keywords_and_defaults():
@@ -230,7 +221,6 @@ def test_constructors_take_keywords_and_defaults():
     assert RandomElement(sig=DLO, partition=p, values=["1/3"]).values == (Fraction(1, 3),)
     assert Randomization(DLO, p).elements == {}
     assert Randomization(DLO, p).elements is not Randomization(DLO, p).elements
-    assert CheckResult("x", True).detail == ""
 
 
 def test_bad_input_raises_value_error():
