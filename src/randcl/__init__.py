@@ -13,8 +13,8 @@ submodule is imported on first use.  The submodules are cut along the
 requests' routes, so that a subcommand compiles only modules whose code
 it runs (README.md maps them): records, measure, randvar and randfile
 for every request; formula and theory for those that read a formula;
-witnesses, algebra and closure for their subcommands; library, oracles
-and checks for the cross-checks alone.
+witnesses, algebra and closure for their subcommands; oracles and checks
+for the cross-checks alone.
 """
 
 import importlib
@@ -31,9 +31,11 @@ _EXPORTS = {
     ),
     "theory": ("eval_qf", "qe"),
     "oracles": (
-        "definable_in_model", "eval_direct", "evaluate", "fo_definable_closure",
-        "if_less_closure", "is_functional", "is_valid", "isolating_formulas",
-        "universal_closure",
+        "check_signature", "definable_in_model", "eval_direct", "evaluate",
+        "fo_definable_closure", "generated_algebra", "if_less", "if_less_closure",
+        "indicator", "is_functional", "is_valid", "isolating_formulas",
+        "pointwise_max", "pointwise_min", "refine", "substitute", "transport_elem",
+        "transport_event", "universal_closure",
     ),
     "measure": (
         "Event", "Partition", "complement", "event_dist", "join", "meet",
@@ -48,13 +50,10 @@ _EXPORTS = {
         "EventAlgebra", "definable_closure", "fo_event_algebra",
         "pointwise_definable_event",
     ),
-    "closure": ("DefinabilityReport", "definability_report", "isolating_formula"),
-    "library": (
-        "check_signature", "fo_definable_on", "generated_algebra", "if_less",
-        "indicator", "is_definable", "is_definable_by_isolating_events",
-        "is_definable_by_pinning", "is_pointwise_definable", "piecewise_definable",
-        "pointwise_max", "pointwise_min", "refine", "substitute", "transport_elem",
-        "transport_event",
+    "closure": (
+        "DefinabilityReport", "definability_report", "fo_definable_on",
+        "is_definable", "is_definable_by_isolating_events", "is_definable_by_pinning",
+        "is_pointwise_definable", "isolating_formula", "piecewise_definable",
     ),
     "randfile": ("dump", "dumps", "load", "loads"),
 }

@@ -20,7 +20,7 @@ import marshal
 import os
 import random
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -29,7 +29,7 @@ from .algebra import (
     definable_closure,
     fo_event_algebra,
 )
-from .closure import _realized_events, definability_report
+from .closure import _realized_events, definability_report, fo_definable_on
 from .formula import (
     And,
     Atom,
@@ -45,22 +45,19 @@ from .formula import (
     free_vars,
     is_quantifier_free,
 )
-from .library import (
-    fo_definable_on,
+from .measure import complement, event_dist, join, meet, partition
+from .oracles import (
+    _if_less_closure_naive,
+    eval_direct,
+    fo_definable_closure,
     generated_algebra,
+    if_less_closure,
     indicator,
     pointwise_max,
     pointwise_min,
     refine,
     transport_elem,
     transport_event,
-)
-from .measure import complement, event_dist, join, meet, partition
-from .oracles import (
-    _if_less_closure_naive,
-    eval_direct,
-    fo_definable_closure,
-    if_less_closure,
 )
 from .randfile import dumps, load, loads, to_payload
 from .randvar import (
@@ -457,36 +454,49 @@ def corpus(seed: int, dlo: int, enum: int) -> list[Randomization]:
     return out
 
 
+# instances each worker runs per batch: fuzz holds one batch at a time,
+# so its memory does not grow with --count
+_BATCH = 64
+
+
 def run_fuzz(
     count: int, seed: int
-) -> list[tuple[Randomization, list[tuple[str, str]]]]:
-    """Generate instances from the seed and run the full suite on each.
+) -> Iterator[tuple[Randomization, list[tuple[str, str]]]]:
+    """Generate instances from the seed and run the full suite on each,
+    yielding each instance with its results in instance order.
 
-    Every instance and its check seed are drawn here, in order; the
-    instances then run on one worker per usable CPU (see _run_shares),
-    and their results and first error come back in instance order, so
-    the answer does not depend on the number of workers."""
+    Every instance and its check seed are drawn here, in order, one batch
+    of _BATCH per worker at a time; each batch runs on one worker per
+    usable CPU (see _run_shares), and its results and first error come
+    back in instance order, so the answer does not depend on the number
+    of workers."""
     rng = random.Random(seed)
-    jobs = []
-    for _ in range(count):
-        inst = random_instance(rng)
-        jobs.append((inst, rng.getrandbits(64)))
-    results = _run_shares(jobs, _workers(count))
-    return [(inst, res) for (inst, _), res in zip(jobs, results)]
+    workers = _workers(count)
+    start = 0
+    while start < count:
+        jobs = [
+            (random_instance(rng), rng.getrandbits(64))
+            for _ in range(min(_BATCH * workers, count - start))
+        ]
+        results = _run_shares(jobs, min(workers, len(jobs)), start)
+        for (inst, _), res in zip(jobs, results):
+            yield inst, res
+        start += len(jobs)
 
 
 # ---------------------------------------------------------------------------
 # fuzz workers
 # ---------------------------------------------------------------------------
 
-# The instances are independent once drawn, so run_fuzz deals them
-# stride-wise over forked workers: worker w runs instances w, w + W, ...
-# and the parent runs worker 0's share itself.  Forking costs a fraction
-# of a millisecond, where a spawned worker would start an interpreter and
-# compile the package again; multiprocessing is not used, since importing
-# it costs more than the workers save on a short request, and marshal,
-# which is always loaded, carries the results.  A worker sends only data:
-# a job that raised is run again in the parent, where it raises as itself.
+# The instances are independent once drawn, so run_fuzz deals each batch
+# stride-wise over forked workers: worker w runs the batch's instances w,
+# w + W, ... and the parent runs worker 0's share itself.  Forking costs a
+# fraction of a millisecond, where a spawned worker would start an
+# interpreter and compile the package again; multiprocessing is not used,
+# since importing it costs more than the workers save on a short request,
+# and marshal, which is always loaded, carries the results.  A worker
+# sends only data: a job that raised is run again in the parent, where it
+# raises as itself.
 
 
 def _usable_cpus() -> int:
@@ -534,12 +544,13 @@ def _serve_share(jobs, fd: int) -> None:
         os._exit(code)
 
 
-def _run_shares(jobs, workers: int) -> list[list[tuple[str, str]]]:
+def _run_shares(jobs, workers: int, first: int) -> list[list[tuple[str, str]]]:
     """Each job's results, in order, from workers forked for every share
     but the first, which runs here (all of them, for one worker).  Once
     every child is reaped, the first job in order that raised runs again
     here and raises as itself, as a loop over the jobs would have; one
-    whose worker ended without sending its results raises RuntimeError."""
+    whose worker ended without sending its results raises RuntimeError,
+    naming it as fuzz instance first + its index in jobs."""
     shares = [jobs[w::workers] for w in range(workers)]
     children: list[tuple[int, int]] = []  # (pid, read end) per forked share
     statuses: dict[int, int] = {}  # wait status of each child reaped
@@ -580,7 +591,9 @@ def _run_shares(jobs, workers: int) -> list[list[tuple[str, str]]]:
             continue
         if raised:
             run_checks(inst, random.Random(s))  # raises again, as itself
-        raise RuntimeError(f"the worker of fuzz instance {i} ended without a result")
+        raise RuntimeError(
+            f"the worker of fuzz instance {first + i} ended without a result"
+        )
     return out
 
 
@@ -615,18 +628,17 @@ def _cmd_check(args) -> tuple[int, list[str], dict]:
 def _cmd_fuzz(args) -> tuple[int, list[str], dict]:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    outcomes = run_fuzz(args.count, args.seed)
     lines = []
     failures = []
-    for idx, (inst, results) in enumerate(outcomes):
+    for idx, (inst, results) in enumerate(run_fuzz(args.count, args.seed)):
         bad = [(name, detail) for name, detail in results if detail]
         if bad:
             failures.append((idx, inst, bad))
             lines += [f"instance {idx}: FAIL {name}: {detail}" for name, detail in bad]
-    ok = len(outcomes) - len(failures)
-    lines.append(f"{ok}/{len(outcomes)} instances passed all cross-checks")
+    ok = args.count - len(failures)
+    lines.append(f"{ok}/{args.count} instances passed all cross-checks")
     payload = {
-        "count": len(outcomes),
+        "count": args.count,
         "passed": ok,
         "failures": [
             {

@@ -8,10 +8,11 @@ out on each atom of that algebra; each isolating formula of (parameters,
 element) has the event of its existential projection; it is a member of
 the definable closure.  Two of them evaluate the isolating formulas of
 the types the parameters realize on some atom, one formula per type.
-definability_report runs them all on one parameter table.  The type
-groups, the pointwise event and the closure enumeration they build on are
-in algebra; the public single-decider functions are in library, and the
-reference enumerations the cross-checks compare these with in oracles.
+Each decider is one public function; definability_report resolves the
+element and the parameters once and calls all five.  The type groups,
+the pointwise event and the closure enumeration they build on are in
+algebra, and the reference enumerations the cross-checks compare these
+with in oracles.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (
-    EventAlgebra,
     Param,
     ParamSet,
     _algebra,
     _places,
     _pointwise_event,
     _resolve_params,
+    pointwise_definable_event,
 )
 from .formula import Atom, Const, Exists, Formula, Var
 from .measure import Event
@@ -75,32 +76,23 @@ def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
     )
 
 
-def _realized_isolating(
-    r: Randomization, elems: Sequence[RandomElement]
-) -> list[Formula]:
-    """The isolating formulas of the element tuple's types that occur on
-    some atom, in first-atom order.
-
-    Every other isolating formula has the null event.  The keys come from
-    randvar._type_rows, so evaluating these formulas over the same tuple
-    reuses its rows.
-    """
-    keys = dict.fromkeys(_type_rows(r, tuple(elems)))
-    return [isolating_formula(r.sig, key) for key in keys]
-
-
 def _realized_events(
     r: Randomization, elems: Sequence[RandomElement]
 ) -> list[tuple[Formula, Event]]:
-    """Each realized isolating formula of the tuple with its event under
+    """The isolating formulas of the element tuple's types that occur on
+    some atom, in first-atom order, each with its event under
     v1..vn := elems, evaluated through eval_event.
 
-    The isolating formulas are pairwise exclusive, so events whose union
-    is the sure event prove that no formula left out has a non-null event.
-    Anything less is an engine fault and raises.
+    The keys come from randvar._type_rows, so evaluating the formulas over
+    the same tuple reuses its rows.  The isolating formulas are pairwise
+    exclusive, so events whose union is the sure event prove that no
+    formula left out has a non-null event.  Anything less is an engine
+    fault and raises.
     """
+    keys = dict.fromkeys(_type_rows(r, tuple(elems)))
+    formulas = [isolating_formula(r.sig, key) for key in keys]
     binding = dict(zip(isolating_vars(len(elems)), elems))
-    out = [(psi, eval_event(r, psi, binding)) for psi in _realized_isolating(r, elems)]
+    out = [(psi, eval_event(r, psi, binding)) for psi in formulas]
     covered = frozenset().union(*(ev.members for _, ev in out))
     if len(covered) != r.partition.size:
         raise RuntimeError(
@@ -110,7 +102,7 @@ def _realized_events(
 
 
 # ---------------------------------------------------------------------------
-# decider routes, on resolved parameters
+# the deciders
 # ---------------------------------------------------------------------------
 
 def _fo_definable_on(
@@ -134,20 +126,53 @@ def _fo_definable_on(
     )
 
 
-def _refines_nothing(
-    r: Randomization,
-    b: RandomElement,
-    elems: list[RandomElement],
-    base: EventAlgebra,
+def fo_definable_on(
+    r: Randomization, elem: Param, e: Event, params: ParamSet
 ) -> bool:
-    """Whether adjoining b to the parameters, whose algebra is base, adds
-    no definable event."""
-    refined = _algebra(r, [*elems, b])
-    return all(base.contains(atom) for atom in refined.atoms)
+    """Whether some functional formula over the parameters carves out
+    exactly e as the event where it picks the element.
+
+    Grouping the atoms by the order type of (parameters, element), such a
+    formula exists precisely when e is a union of refined groups, no two
+    selected groups share a parameter order type, and on each selected
+    group the element coincides with one of the parameters (automatic for
+    an enumerated domain, where every value is named by a constant).
+
+    On the sure event this is membership in definable_closure, decided per
+    parameter type group without enumerating it: under DLO the element's
+    restriction must be some parameter's (so no parameters means no
+    member), under an enumerated domain constant.
+    """
+    b = _resolve(r, elem)
+    elems = _resolve_params(r, params)
+    if e.partition is not r.partition and e.partition != r.partition:
+        raise ValueError("partition mismatch")
+    return _fo_definable_on(r, e, _type_rows(r, tuple(elems)), _places(r, elems, b))
 
 
-def _pinned(r: Randomization, b: RandomElement, elems: list[RandomElement]) -> bool:
-    """is_definable_by_pinning on resolved parameters."""
+def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
+    return pointwise_definable_event(r, elem, params).is_top()
+
+
+def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
+    """Element definability: pointwise definable everywhere, and adjoining
+    the element refines the parameter event algebra by nothing."""
+    b = _resolve(r, elem)
+    elems = _resolve_params(r, params)
+    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+        return False
+    base = _algebra(r, elems)
+    return all(base.contains(atom) for atom in _algebra(r, [*elems, b]).atoms)
+
+
+def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> bool:
+    """Ordered-theory decider: on every nonempty isolating event of the
+    parameters (those of the types realized on some atom), the element
+    must coincide with one of them."""
+    if not r.sig.is_dlo:
+        raise ValueError("pinning decider needs an ordered theory")
+    b = _resolve(r, elem)
+    elems = _resolve_params(r, params)
     agree = [(~differs(b, x)).members for x in elems]
     return all(
         any(ev.members <= same for same in agree)
@@ -155,30 +180,42 @@ def _pinned(r: Randomization, b: RandomElement, elems: list[RandomElement]) -> b
     )
 
 
-def _projections_agree(
-    r: Randomization, b: RandomElement, elems: list[RandomElement]
+def is_definable_by_isolating_events(
+    r: Randomization, elem: Param, params: ParamSet
 ) -> bool:
-    """The second condition of is_definable_by_isolating_events, on
-    resolved parameters."""
+    """Cross-check decider: pointwise definability plus, for every isolating
+    formula of (parameters, element) with positive weight (those of the
+    types realized on some atom), the formula's event equals the event of
+    its existential projection."""
+    b = _resolve(r, elem)
+    elems = _resolve_params(r, params)
+    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+        return False
     n = len(elems)
     u = f"v{n + 1}"
     base_binding = dict(zip(isolating_vars(n), elems))
     return all(
         ev == eval_event(r, Exists(u, phi), base_binding)
-        for phi, ev in _realized_events(r, elems + [b])
+        for phi, ev in _realized_events(r, [*elems, b])
     )
 
 
-def _piecewise(
-    r: Randomization,
-    base: EventAlgebra,
-    rows: Sequence[tuple],
-    places: Sequence[Value],
+def piecewise_definable(
+    r: Randomization, elem: Param, params: ParamSet
 ) -> tuple[bool, tuple[Event, ...]]:
-    """piecewise_definable, from the parameters' algebra and type rows and
-    the element's places."""
+    """Search for disjoint parameter-definable events of total weight one on
+    each of which the element is carved out by a functional formula.
+
+    Any qualifying family forces every atom of the parameter algebra to
+    qualify on its own, so the atoms are checked directly; the returned
+    family lists the passing atoms.
+    """
+    elems = _resolve_params(r, params)
+    rows = _type_rows(r, tuple(elems))
+    places = _places(r, elems, _resolve(r, elem))
     family = tuple(
-        atom for atom in base.atoms if _fo_definable_on(r, atom, rows, places)
+        atom for atom in _algebra(r, elems).atoms
+        if _fo_definable_on(r, atom, rows, places)
     )
     total = sum((ev.prob for ev in family), Fraction(0))
     return total == 1, family
@@ -207,21 +244,16 @@ def definability_report(
 ) -> DefinabilityReport:
     """Run every applicable definability decider and collect the verdicts.
 
-    The parameters are resolved and deduplicated once; their type rows and
-    event algebra, and the element's places and pointwise event, are built
-    once and shared.  Each decider still runs its own route over them.
+    The element and the parameters are resolved and deduplicated once;
+    each decider then runs its own route on them.
     """
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    rows = _type_rows(r, tuple(elems))
-    places = _places(r, elems, b)
-    base = _algebra(r, elems)
-    pointwise = _pointwise_event(r, places).is_top()
     paths: dict[str, bool] = {}
-    paths["pointwise_algebra"] = pointwise and _refines_nothing(r, b, elems, base)
+    paths["pointwise_algebra"] = is_definable(r, b, elems)
     if r.sig.is_dlo:
-        paths["pinning"] = _pinned(r, b, elems)
-    paths["piecewise_family"] = _piecewise(r, base, rows, places)[0]
-    paths["isolating_events"] = pointwise and _projections_agree(r, b, elems)
-    paths["closure_member"] = _fo_definable_on(r, r.partition.top(), rows, places)
+        paths["pinning"] = is_definable_by_pinning(r, b, elems)
+    paths["piecewise_family"] = piecewise_definable(r, b, elems)[0]
+    paths["isolating_events"] = is_definable_by_isolating_events(r, b, elems)
+    paths["closure_member"] = fo_definable_on(r, b, r.partition.top(), elems)
     return DefinabilityReport(paths["pointwise_algebra"], paths)

@@ -3,7 +3,7 @@
 A Partition is a list of named atoms with positive Fraction weights summing
 to one; an Event is a set of atom indices.  Everything downstream (event
 distance here, the parameters' event algebras in algebra, refinement in
-library) stays in exact arithmetic.
+oracles) stays in exact arithmetic.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
-"""Reference routes that only the cross-checks and the tests use.
+"""Reference routes and library operations that no request runs.
 
-The request path answers each question one way; the functions here answer
-it independently or check a law of the theory: evaluation without
-quantifier elimination, the complete type of a value tuple, validity and
-functional formulas, the full list of isolating formulas, definability
-inside one model, and the closure enumerations by candidate filtering,
-by partition refinement under if_less and by fixpoint iteration.  Of the
-subcommands only check and fuzz load this module.
+The request path answers each question one way; the reference routes
+here answer it independently or check a law of the theory: evaluation
+without quantifier elimination, the complete type of a value tuple,
+validity and functional formulas, the full list of isolating formulas,
+definability inside one model, and the closure enumerations by candidate
+filtering, by partition refinement under if_less and by fixpoint
+iteration.  The library operations are the signature check and
+substitution of formulas, the generated subalgebra, partition refinement
+with the transport of events and elements, and the pointwise combinators
+indicator, if_less, min and max.  The cross-checks, the tests and library
+callers use this module; of the subcommands only check and fuzz load it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import (
+    EventAlgebra,
     ParamSet,
     _assemble,
     _group_indices,
@@ -37,14 +42,193 @@ from .formula import (
     Implies,
     Not,
     Or,
+    Term,
     Truth,
     Var,
+    _Binary,
+    _Quantifier,
+    _check_atom,
     free_vars,
+    subformulas,
 )
-from .library import substitute
-from .randvar import RandomElement, Randomization, _type_rows
+from .measure import Event, Partition
+from .randvar import (
+    RandomElement,
+    Randomization,
+    _compatible,
+    _type_rows,
+    differs,
+    glue,
+)
 from .records import DLO, Signature, Value
 from .theory import _check_assignment, conj_all, eval_qf, qe
+
+
+# ---------------------------------------------------------------------------
+# signature check and substitution
+# ---------------------------------------------------------------------------
+
+def check_signature(f: Formula, sig: Signature) -> None:
+    """Reject formulas using symbols outside sig (raises ValueError, for
+    the first offending atom from the left)."""
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            _check_atom(g, sig)
+
+
+def _term_vars(t: Term) -> set[str]:
+    return {t.name} if isinstance(t, Var) else set()
+
+
+def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
+    """Simultaneously replace free variables by terms, capture-avoiding.
+
+    Bound variables that would capture a substituted name are renamed with
+    the prime-suffix scheme (u, u', u'', ...).
+    """
+    for k, v in mapping.items():
+        if not isinstance(v, (Var, Const)):
+            raise TypeError(f"substitution for {k!r} must be a term, got {v!r}")
+    return _subst(f, dict(mapping))
+
+
+def _subst(g: Formula, m: dict[str, Term]) -> Formula:
+    if not m:
+        return g
+    if isinstance(g, Atom):
+        lhs = m.get(g.lhs.name, g.lhs) if isinstance(g.lhs, Var) else g.lhs
+        rhs = m.get(g.rhs.name, g.rhs) if isinstance(g.rhs, Var) else g.rhs
+        if lhs is g.lhs and rhs is g.rhs:
+            return g
+        return Atom(lhs, g.rel, rhs)
+    if isinstance(g, Not):
+        return Not(_subst(g.body, m))
+    if isinstance(g, _Binary):
+        return type(g)(_subst(g.lhs, m), _subst(g.rhs, m))
+    if isinstance(g, _Quantifier):
+        body_free = set(free_vars(g.body))
+        m2 = {k: v for k, v in m.items() if k != g.var and k in body_free}
+        if not m2:
+            return g
+        image: set[str] = set()
+        for t in m2.values():
+            image |= _term_vars(t)
+        if g.var in image:
+            avoid = body_free | image | set(m2)
+            fresh = g.var
+            while fresh in avoid:
+                fresh += "'"
+            renamed = _subst(g.body, {g.var: Var(fresh)})
+            return type(g)(fresh, _subst(renamed, m2))
+        return type(g)(g.var, _subst(g.body, m2))
+    return g
+
+
+# ---------------------------------------------------------------------------
+# generated algebras and refinement
+# ---------------------------------------------------------------------------
+
+def generated_algebra(part: Partition, gens: Sequence[Event]) -> EventAlgebra:
+    """Atoms of the Boolean subalgebra generated by gens.
+
+    Partition atoms are grouped by their membership pattern across the
+    generators; each group is one atom of the subalgebra.
+    """
+    for g in gens:
+        if g.partition != part:
+            raise ValueError("partition mismatch")
+    groups: dict[tuple[bool, ...], set[int]] = {}
+    for i in range(part.size):
+        pattern = tuple(i in g.members for g in gens)
+        groups.setdefault(pattern, set()).add(i)
+    return EventAlgebra(tuple(Event(part, frozenset(m)) for m in groups.values()))
+
+
+def refine(
+    part: Partition, atom: int | str, k: int
+) -> tuple[Partition, dict[int, tuple[int, ...]]]:
+    """Split one atom into k equal-weight pieces.
+
+    Returns the refined partition and a map from old atom index to the
+    tuple of new indices standing for it (singleton tuples off the split).
+    The pieces of atom 'w' are named 'w.1' .. 'w.k'.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    i0 = part.index(atom) if isinstance(atom, str) else atom
+    if not 0 <= i0 < part.size:
+        raise ValueError(f"atom index {i0!r} out of range")
+    new_atoms: list[tuple[str, Fraction]] = []
+    mapping: dict[int, tuple[int, ...]] = {}
+    for i, (name, w) in enumerate(part.atoms):
+        if i == i0:
+            first = len(new_atoms)
+            for j in range(k):
+                new_atoms.append((f"{name}.{j + 1}", w / k))
+            mapping[i] = tuple(range(first, first + k))
+        else:
+            mapping[i] = (len(new_atoms),)
+            new_atoms.append((name, w))
+    return Partition(tuple(new_atoms)), mapping
+
+
+def transport_event(
+    e: Event, refined: Partition, mapping: dict[int, tuple[int, ...]]
+) -> Event:
+    members: set[int] = set()
+    for i in e.members:
+        members.update(mapping[i])
+    return Event(refined, frozenset(members))
+
+
+# ---------------------------------------------------------------------------
+# pointwise combinators
+# ---------------------------------------------------------------------------
+
+def indicator(e: Event, a: RandomElement, b: RandomElement) -> RandomElement:
+    """The element reading a on e and b elsewhere, for everywhere-apart a, b.
+
+    Requiring a and b to differ on every atom makes the result determine e
+    exactly, so it characterizes the event; raises ValueError otherwise.
+    """
+    _compatible(a, b)
+    if not differs(a, b).is_top():
+        raise ValueError("elements agree somewhere, no characteristic element")
+    return glue(a, b, e)
+
+
+def if_less(
+    a: RandomElement, b: RandomElement, x: RandomElement, y: RandomElement
+) -> RandomElement:
+    """Pointwise: x where a < b, else y (DLO only)."""
+    _compatible(a, b)
+    _compatible(a, x)
+    _compatible(a, y)
+    if not a.sig.is_dlo:
+        raise ValueError("if_less needs an ordered theory")
+    values = tuple(
+        xv if av < bv else yv
+        for av, bv, xv, yv in zip(a.values, b.values, x.values, y.values)
+    )
+    return RandomElement(a.sig, a.partition, values)
+
+
+def pointwise_min(a: RandomElement, b: RandomElement) -> RandomElement:
+    return if_less(a, b, a, b)
+
+
+def pointwise_max(a: RandomElement, b: RandomElement) -> RandomElement:
+    return if_less(a, b, b, a)
+
+
+def transport_elem(
+    elem: RandomElement, refined: Partition, mapping: dict[int, tuple[int, ...]]
+) -> RandomElement:
+    values: list[Value] = [0] * refined.size
+    for i, v in enumerate(elem.values):
+        for j in mapping[i]:
+            values[j] = v
+    return RandomElement(elem.sig, refined, tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,13 @@ def from_payload(payload: object) -> Randomization:
             what = f"value of element {name!r}"
             elements[name] = _fractions(vals, lambda i: what, memo)
         elif set(map(type, vals)) <= {int}:
-            elements[name] = tuple(vals)
+            elements[name] = vals
         else:
             bad = next(v for v in vals if type(v) is not int)
             raise ValueError(f"element {name!r} values must be integers, got {bad!r}")
     # every value is parsed before any element is built, so a bad value is
     # named before a wrong count
-    built = {name: RandomElement(sig, part, vals) for name, vals in elements.items()}
-    return Randomization(sig, part, built)
+    return Randomization.build(sig, part, elements)
 
 
 def _values_payloads(elems: Sequence[RandomElement]) -> list[list]:

@@ -5,7 +5,7 @@ atom (rationals for DLO, 0..n-1 for FiniteEnum).  This module evaluates
 formula events per type of the bound values, measures the distance
 between elements and glues two elements along an event.  The witness
 builder is in witnesses; the other pointwise combinators (indicator,
-if_less, min, max) are in library.
+if_less, min, max) are in oracles.
 """
 
 from __future__ import annotations

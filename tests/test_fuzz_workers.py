@@ -127,25 +127,41 @@ def test_an_error_in_a_child_reaches_the_caller_as_itself(monkeypatch, exc):
     _add_check(monkeypatch, act)
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
     with pytest.raises(exc) as info:
-        checks.run_fuzz(COUNT, 4)
+        list(checks.run_fuzz(COUNT, 4))
     assert type(info.value) is exc
     assert info.value.args == ("bad instance 5",)
 
 
-def test_a_killed_worker_is_an_internal_error(capsys, monkeypatch):
+def _killed_worker(capsys, monkeypatch, killed: int):
+    """fuzz's answer when the worker of instance killed dies on it."""
     parent = os.getpid()
 
     def act(i):
-        if i == 2 and os.getpid() != parent:
+        if i == killed and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return ""
 
     _add_check(monkeypatch, act)
-    got = _fuzz(capsys, monkeypatch, 3, 2)
-    assert got == (
+    return _fuzz(capsys, monkeypatch, 3, 2)
+
+
+def test_a_killed_worker_is_an_internal_error(capsys, monkeypatch):
+    assert _killed_worker(capsys, monkeypatch, 2) == (
         3,
         "",
         "error: internal: RuntimeError: the worker of fuzz instance 2 "
+        "ended without a result\n",
+    )
+
+
+def test_a_killed_worker_in_a_later_batch_names_its_instance(capsys, monkeypatch):
+    # one instance per worker and batch: instance 5 is the last of the
+    # second batch, and the error names it by its place in the whole run
+    monkeypatch.setattr(checks, "_BATCH", 1)
+    assert _killed_worker(capsys, monkeypatch, 5) == (
+        3,
+        "",
+        "error: internal: RuntimeError: the worker of fuzz instance 5 "
         "ended without a result\n",
     )
 
@@ -168,6 +184,33 @@ def test_an_error_only_a_child_raises_is_an_internal_error(capsys, monkeypatch):
         "error: internal: RuntimeError: the worker of fuzz instance 1 "
         "ended without a result\n",
     )
+
+
+def test_batches_answer_as_one_batch(capsys, monkeypatch):
+    # one instance per worker and batch: batches of 3, 3 and 1 instances
+    _add_check(monkeypatch, lambda i: f"forced on {i}" if i in (1, 5) else "")
+    alone = _fuzz(capsys, monkeypatch, 1, 3)
+    monkeypatch.setattr(checks, "_BATCH", 1)
+    assert _fuzz(capsys, monkeypatch, 3, 3) == alone
+
+
+def test_fuzz_draws_its_instances_one_batch_at_a_time(monkeypatch):
+    # run_fuzz holds one batch of instances at a time, so its memory does
+    # not grow with the count; drawing them all up front fails fast here
+    drawn = []
+    draw = checks.random_instance
+
+    def counted(rng, kind=None):
+        drawn.append(None)
+        if len(drawn) > 3 * checks._BATCH:
+            raise AssertionError("fuzz drew past its first batches")
+        return draw(rng, kind)
+
+    monkeypatch.setattr(checks, "random_instance", counted)
+    monkeypatch.setattr(checks, "_SUITE", ())
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    inst, results = next(checks.run_fuzz(10**9, 0))
+    assert results == [] and len(drawn) <= checks._BATCH
 
 
 def test_without_fork_the_run_stays_in_process(capsys, monkeypatch):

@@ -204,7 +204,7 @@ _EVERY = ("cli", "measure", "randfile", "randvar", "records")
 _FORMULA = (*_EVERY, "formula", "theory")
 _ALGEBRA = (*_EVERY, "algebra")
 _CHECKS = (
-    *_FORMULA, "algebra", "checks", "closure", "library", "oracles", "witnesses"
+    *_FORMULA, "algebra", "checks", "closure", "oracles", "witnesses"
 )
 LOADED = {
     "dist": _EVERY,
@@ -255,6 +255,14 @@ def test_readme_gives_the_lines_each_subcommand_loads():
         for command, modules in LOADED.items()
     }
     assert _readme_loaded_lines() == want
+
+
+def test_readme_module_list_names_every_module_once():
+    # README's module map: one "- `name.py` —" entry per source file
+    text = (ROOT / "README.md").read_text()
+    listed = re.findall(r"^- `(\w+)\.py` —", text, re.M)
+    package = Path(randcl.__file__).resolve().parent
+    assert sorted(listed) == sorted(p.stem for p in package.glob("*.py"))
 
 
 @pytest.mark.parametrize("command", ["check", "help"])

@@ -34,11 +34,13 @@ from randcl import closure
 from randcl.checks import corpus, isolating_event_algebra, random_instance
 from randcl.cli import main
 from randcl.algebra import fo_event_algebra
-from randcl.closure import definability_report, isolating_formula, isolating_vars
-from randcl.library import (
+from randcl.closure import (
+    definability_report,
     is_definable_by_isolating_events,
     is_definable_by_pinning,
     is_pointwise_definable,
+    isolating_formula,
+    isolating_vars,
 )
 from randcl.oracles import type_key
 from randcl.theory import eval_qf
