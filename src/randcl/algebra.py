@@ -15,7 +15,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter
 
-from .measure import Event, Partition, _same_partition
+from .measure import Event, _same_partition
 from .randvar import (
     RandomElement,
     Randomization,
@@ -75,10 +75,6 @@ class EventAlgebra(Record):
             raise ValueError("algebra atoms must cover everything")
         _set(self, "atoms", tuple(sorted(atoms, key=lambda e: min(e.members))))
 
-    @property
-    def partition(self) -> Partition:
-        return self.atoms[0].partition
-
     def contains(self, e: Event) -> bool:
         """Whether e is a union of algebra atoms."""
         _same_partition(e, self.atoms[0])
@@ -86,9 +82,6 @@ class EventAlgebra(Record):
             not (a.members & e.members) or a.members <= e.members
             for a in self.atoms
         )
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 def _group_indices(r: Randomization, elems: Sequence[RandomElement]) -> list[tuple[int, ...]]:

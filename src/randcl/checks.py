@@ -8,7 +8,8 @@ definability deciders return identical verdicts.  Each check is a named
 function that returns the first failure it finds, "" when none.  The
 generator draws small instances (2..6 atoms, exact dyadic or ternary
 weights) so every check stays brute-forceable.  fuzz runs its instances
-on forked workers that send back only (name, detail) pairs.  The check
+on one forked worker per usable CPU: each draws the same seeded instances,
+runs its own and streams back only their (name, detail) pairs.  The check
 and fuzz subcommands' handlers are here too, so no other request
 compiles them.
 """
@@ -454,9 +455,11 @@ def corpus(seed: int, dlo: int, enum: int) -> list[Randomization]:
     return out
 
 
-# instances each worker runs per batch: fuzz holds one batch at a time,
-# so its memory does not grow with --count
-_BATCH = 64
+def _jobs(count: int, seed: int) -> Iterator[tuple[Randomization, int]]:
+    """The instances of a fuzz run and their check seeds, drawn in order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_instance(rng), rng.getrandbits(64)
 
 
 def run_fuzz(
@@ -465,39 +468,61 @@ def run_fuzz(
     """Generate instances from the seed and run the full suite on each,
     yielding each instance with its results in instance order.
 
-    Every instance and its check seed are drawn here, in order, one batch
-    of _BATCH per worker at a time; each batch runs on one worker per
-    usable CPU (see _run_shares), and its results and first error come
-    back in instance order, so the answer does not depend on the number
-    of workers."""
-    rng = random.Random(seed)
+    Instance i runs on worker i % W of W = _workers(count): this process
+    is worker 0, and the others are children forked before the first draw
+    (_serve).  Their results are read in instance order, so the answer
+    does not depend on W.  An instance whose worker sent no result runs
+    again here, where it raises as itself, or else raises RuntimeError."""
     workers = _workers(count)
-    start = 0
-    while start < count:
-        jobs = [
-            (random_instance(rng), rng.getrandbits(64))
-            for _ in range(min(_BATCH * workers, count - start))
-        ]
-        results = _run_shares(jobs, min(workers, len(jobs)), start)
-        for (inst, _), res in zip(jobs, results):
-            yield inst, res
-        start += len(jobs)
+    readers = []  # the read end of each child's pipe, in worker order
+    pids = []
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                for pipe in readers:
+                    pipe.close()
+                _serve(count, seed, w, workers, write_end)
+            os.close(write_end)
+            pids.append(pid)
+            readers.append(open(read_end, "rb"))
+        for i, (inst, s) in enumerate(_jobs(count, seed)):
+            if i % workers == 0:
+                yield inst, run_checks(inst, random.Random(s))
+                continue
+            try:
+                results = marshal.load(readers[i % workers - 1])
+            except (EOFError, ValueError):  # the worker ended first
+                results = None
+            if results is None:
+                run_checks(inst, random.Random(s))  # raises again, as itself
+                raise RuntimeError(
+                    f"the worker of fuzz instance {i} ended without a result"
+                )
+            yield inst, results
+    finally:
+        # a child still running stops at its next write, which fails
+        for pipe in readers:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-# ---------------------------------------------------------------------------
-# fuzz workers
-# ---------------------------------------------------------------------------
-
-# The instances are independent once drawn, so run_fuzz deals each batch
-# stride-wise over forked workers: worker w runs the batch's instances w,
-# w + W, ... and the parent runs worker 0's share itself.  Forking costs a
-# fraction of a millisecond, where a spawned worker would start an
-# interpreter and compile the package again; multiprocessing is not used,
-# since importing it costs more than the workers save on a short request,
-# and marshal, which is always loaded, carries the results.  A worker
-# sends only data: a job that raised is run again in the parent, where it
-# raises as itself.
-
+# Forking costs a fraction of a millisecond, where a spawned worker would
+# start an interpreter and compile the package again; multiprocessing is
+# not used, since importing it costs more than the workers save on a short
+# request, and marshal, which is always loaded, carries the results.
+# Drawing an instance costs little beside its checks, so every worker
+# draws them all.  Each process holds one instance at a time, and a worker
+# that runs ahead blocks once its pipe is full, so memory does not grow
+# with the count.
 
 def _usable_cpus() -> int:
     try:
@@ -516,85 +541,22 @@ def _workers(count: int) -> int:
     return max(1, min(count, _usable_cpus()))
 
 
-def _run_share(jobs) -> tuple[list[list[tuple[str, str]]], bool]:
-    """The results of each job in order, up to the first that raises, and
-    whether one raised."""
-    done = []
-    try:
-        for inst, s in jobs:
-            done.append(run_checks(inst, random.Random(s)))
-    except Exception:
-        return done, True
-    return done, False
-
-
-def _serve_share(jobs, fd: int) -> None:
-    """A forked child's whole life: run the share, write it to fd, exit.
-    Exit status 0 means the whole share was written."""
-    code = 1
+def _serve(count: int, seed: int, w: int, workers: int, fd: int) -> None:
+    """A forked child's whole life: run instances w, w + workers, ... of
+    the run, write each one's results to fd as one marshal record as it
+    finishes, and exit at the end, at the first instance that raises or
+    at the first write the parent no longer reads."""
     try:
         # this process's collections leave the inherited objects alone,
         # so their pages stay shared with the parent
         gc.freeze()
-        data = marshal.dumps(_run_share(jobs))
         with open(fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
+            for i, (inst, s) in enumerate(_jobs(count, seed)):
+                if i % workers == w:
+                    marshal.dump(run_checks(inst, random.Random(s)), pipe)
+                    pipe.flush()
     finally:
-        os._exit(code)
-
-
-def _run_shares(jobs, workers: int, first: int) -> list[list[tuple[str, str]]]:
-    """Each job's results, in order, from workers forked for every share
-    but the first, which runs here (all of them, for one worker).  Once
-    every child is reaped, the first job in order that raised runs again
-    here and raises as itself, as a loop over the jobs would have; one
-    whose worker ended without sending its results raises RuntimeError,
-    naming it as fuzz instance first + its index in jobs."""
-    shares = [jobs[w::workers] for w in range(workers)]
-    children: list[tuple[int, int]] = []  # (pid, read end) per forked share
-    statuses: dict[int, int] = {}  # wait status of each child reaped
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                for fd in (read_end, *(fd for _, fd in children)):
-                    os.close(fd)
-                _serve_share(share, write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        outcomes = [_run_share(shares[0])]
-        for pid, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            statuses[pid] = os.waitpid(pid, 0)[1]
-            outcomes.append(marshal.loads(data) if statuses[pid] == 0 else None)
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if pid not in statuses:  # interrupted: no result is awaited
-                import signal  # only on this path
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    out = []
-    for i, (inst, s) in enumerate(jobs):
-        done, raised = outcomes[i % workers] or ((), False)
-        if i // workers < len(done):
-            out.append(done[i // workers])
-            continue
-        if raised:
-            run_checks(inst, random.Random(s))  # raises again, as itself
-        raise RuntimeError(
-            f"the worker of fuzz instance {first + i} ended without a result"
-        )
-    return out
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------

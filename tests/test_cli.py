@@ -119,6 +119,42 @@ def test_isdef_false_exit_one(capsys):
     assert "verdict: false" in out
 
 
+def test_isdef_deciders_that_disagree_exit_three(capsys, monkeypatch):
+    import randcl.closure
+
+    pinning = randcl.closure.is_definable_by_pinning
+    monkeypatch.setattr(
+        randcl.closure,
+        "is_definable_by_pinning",
+        lambda r, elem, params: not pinning(r, elem, params),
+    )
+    paths = {v: v != "pinning" for v in _VERDICTS[:-1]}
+    assert main(["isdef", SWAP, "hi", "a", "b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "".join(
+        f"{v}: {str(ok).lower()}\n" for v, ok in [*paths.items(), ("verdict", True)]
+    )
+    assert captured.err == "invariant violation: decider paths disagree\n"
+    assert main(["--format", "structured", "isdef", SWAP, "hi", "a", "b"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"paths": paths, "verdict": True, "agree": False}
+    assert captured.err == "invariant violation: decider paths disagree\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("dist", SWAP, "top", "bottom"), "1\n"),
+        (("dist", SWAP, "{}", "{w1}"), "1/2\n"),
+        (("dist", SWAP, "{w1,w2}", "top"), "0\n"),
+        (("glue", SWAP, "a", "b", "{w1}"), "(0, 0)\n"),
+        (("glue", SWAP, "a", "b", "bottom"), "(1, 0)\n"),
+    ],
+)
+def test_event_spellings(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out)
+
+
 def test_pointwise(capsys):
     code, out = run(capsys, "pointwise", COIN, "b")
     assert code == 0
@@ -353,8 +389,8 @@ def test_lcl_is_checked_against_an_independent_route():
 
 def test_unknown_atom_in_event_exit_two(capsys):
     code = main(["glue", SWAP, "a", "b", "w9"])
-    assert code == 2
-    assert "unknown atom" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: unknown atom 'w9'\n")
 
 
 def test_deeply_nested_formula_exit_two(capsys):

@@ -1,19 +1,21 @@
 """fuzz on forked workers answers exactly as fuzz in one process.
 
-run_fuzz deals its instances over one forked worker per usable CPU.  Each
-test runs the fuzz subcommand in process with the CPU count patched to 1,
-which runs the plain loop, and to 3, which forks two children on any
-machine, and compares stdout, stderr and the exit code.  A check added to
-the suite forces a failure, an error or a killed worker on chosen
-instances; with three workers, instance i runs in the parent when i % 3
-is 0 and in a child otherwise.
+run_fuzz runs its instances on one worker per usable CPU.  Each test runs
+the fuzz subcommand in process with the CPU count patched to 1, which
+runs the plain loop, and to 3, which forks two children on any machine,
+and compares stdout, stderr and the exit code.  A check added to the
+suite forces a failure, an error or a killed worker on chosen instances;
+with three workers, instance i runs in the parent when i % 3 is 0 and in
+a child otherwise.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -22,25 +24,43 @@ from randcl.cli import main
 
 COUNT = 7  # uneven shares: instances 0, 3, 6 | 1, 4 | 2, 5
 
+# the instances of the current run, in the order drawn: the children are
+# forked before the first draw, so each process records the run's
+# instances itself, and instance i is DRAWN[i] in every process
+DRAWN: list = []
+
+
+def _open_fds() -> list[str] | None:
+    """The file descriptors this process holds; None without /proc."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
 
 @pytest.fixture(autouse=True)
 def no_child_left():
+    fds = _open_fds()
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
-def _fuzz(capsys, monkeypatch, cpus: int, seed: int, fmt: str = "text"):
+def _fuzz(
+    capsys, monkeypatch, cpus: int, seed: int, fmt: str = "text", count: int = COUNT
+):
     """fuzz's exit code, stdout and stderr with cpus usable CPUs."""
     monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
-    code = main(["--format", fmt, "fuzz", "--count", str(COUNT), "--seed", str(seed)])
+    DRAWN.clear()
+    code = main(["--format", fmt, "fuzz", "--count", str(count), "--seed", str(seed)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def _both(capsys, monkeypatch, seed: int, fmt: str = "text"):
+def _both(capsys, monkeypatch, seed: int, fmt: str = "text", count: int = COUNT):
     """The answer in one process and on three workers, which must agree."""
-    alone = _fuzz(capsys, monkeypatch, 1, seed, fmt)
+    alone = _fuzz(capsys, monkeypatch, 1, seed, fmt, count)
     forks = []
     fork = os.fork
 
@@ -49,25 +69,23 @@ def _both(capsys, monkeypatch, seed: int, fmt: str = "text"):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    workers = _fuzz(capsys, monkeypatch, 3, seed, fmt)
+    workers = _fuzz(capsys, monkeypatch, 3, seed, fmt, count)
     assert len(forks) == 2
     assert workers == alone
     return alone
 
 
 def _add_check(monkeypatch, act) -> None:
-    """Run act(i) as one more check, "forced", on instance i of each run;
-    the instances of every run are recorded in the order drawn."""
-    drawn = []
+    """Run act(i) as one more check, "forced", on instance i of each run."""
+    DRAWN.clear()
     draw = checks.random_instance
 
     def recorded(rng, kind=None):
-        drawn.append(draw(rng, kind))
-        return drawn[-1]
+        DRAWN.append(draw(rng, kind))
+        return DRAWN[-1]
 
     def extra(r, rng):
-        # forked children share the parent's objects, so identity holds
-        return act(next(i for i, d in enumerate(drawn) if d is r) % COUNT)
+        return act(next(i for i, d in enumerate(DRAWN) if d is r))
 
     monkeypatch.setattr(checks, "random_instance", recorded)
     monkeypatch.setattr(checks, "_SUITE", (*checks._SUITE, ("forced", extra)))
@@ -154,10 +172,11 @@ def test_a_killed_worker_is_an_internal_error(capsys, monkeypatch):
     )
 
 
-def test_a_killed_worker_in_a_later_batch_names_its_instance(capsys, monkeypatch):
-    # one instance per worker and batch: instance 5 is the last of the
-    # second batch, and the error names it by its place in the whole run
-    monkeypatch.setattr(checks, "_BATCH", 1)
+def test_a_worker_killed_after_a_result_names_the_instance_it_died_on(
+    capsys, monkeypatch
+):
+    # instance 2's result arrives from the second child, which dies on
+    # instance 5, its next one
     assert _killed_worker(capsys, monkeypatch, 5) == (
         3,
         "",
@@ -186,31 +205,81 @@ def test_an_error_only_a_child_raises_is_an_internal_error(capsys, monkeypatch):
     )
 
 
-def test_batches_answer_as_one_batch(capsys, monkeypatch):
-    # one instance per worker and batch: batches of 3, 3 and 1 instances
-    _add_check(monkeypatch, lambda i: f"forced on {i}" if i in (1, 5) else "")
-    alone = _fuzz(capsys, monkeypatch, 1, 3)
-    monkeypatch.setattr(checks, "_BATCH", 1)
-    assert _fuzz(capsys, monkeypatch, 3, 3) == alone
+def test_results_larger_than_a_pipe_answer_as_one_process(capsys, monkeypatch):
+    # 8 KB of detail on each instance: each child's nine instances send
+    # more through its pipe than the 64 KB a Linux pipe holds, and the
+    # parent dawdles on its first instance, so a child that runs ahead
+    # blocks on its full pipe until the parent reads its records
+    parent = os.getpid()
+
+    def act(i):
+        if i == 0 and os.getpid() == parent:
+            time.sleep(0.3)
+        return f"{i:04d}" * 2048
+
+    def late(signum, frame):
+        raise TimeoutError("fuzz did not finish in time")
+
+    _add_check(monkeypatch, act)
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(60)  # a deadlock fails the test instead of hanging it
+    try:
+        code, out, err = _both(capsys, monkeypatch, 6, count=27)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "0/27 instances passed all cross-checks"
+    assert lines[:-1] == [
+        f"instance {i}: FAIL forced: " + f"{i:04d}" * 2048 for i in range(27)
+    ]
 
 
-def test_fuzz_draws_its_instances_one_batch_at_a_time(monkeypatch):
-    # run_fuzz holds one batch of instances at a time, so its memory does
-    # not grow with the count; drawing them all up front fails fast here
+def test_fuzz_draws_each_instance_as_it_runs_it(monkeypatch):
+    # run_fuzz holds one instance at a time, so its memory does not grow
+    # with the count; drawing ahead of the results fails here
     drawn = []
+    yielded = []
     draw = checks.random_instance
 
     def counted(rng, kind=None):
+        if len(drawn) > len(yielded):
+            raise AssertionError("fuzz drew an instance before yielding the last")
         drawn.append(None)
-        if len(drawn) > 3 * checks._BATCH:
-            raise AssertionError("fuzz drew past its first batches")
         return draw(rng, kind)
 
     monkeypatch.setattr(checks, "random_instance", counted)
     monkeypatch.setattr(checks, "_SUITE", ())
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    inst, results = next(checks.run_fuzz(10**9, 0))
-    assert results == [] and len(drawn) <= checks._BATCH
+    for inst, results in checks.run_fuzz(10**9, 0):
+        assert results == [] and len(drawn) == len(yielded) + 1
+        yielded.append(inst)
+        if len(yielded) == 100:
+            break
+    assert len(drawn) == 100
+
+
+def test_a_failed_fork_is_an_internal_error(capsys, monkeypatch):
+    # the first child is forked, the second fork fails: its pipe is
+    # closed, and the first child stops and is reaped before the error
+    # reaches the caller
+    fork = os.fork
+    forks = []
+
+    def failing():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    code, out, err = _fuzz(capsys, monkeypatch, 3, 1)
+    assert len(forks) == 2
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: internal: OSError: [Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}\n"
+    )
 
 
 def test_without_fork_the_run_stays_in_process(capsys, monkeypatch):

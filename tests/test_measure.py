@@ -162,7 +162,7 @@ def test_event_dist_partition_mismatch(halves, thirds):
         event_dist(halves.top(), thirds.top())
 
 
-def test_bool_ops(halves):
+def test_bool_ops(halves, thirds):
     e1, e2 = halves.event(["w1"]), halves.event(["w2"])
     assert meet(e1, e2) == halves.bottom()
     assert complement(e1) == e2
@@ -170,6 +170,10 @@ def test_bool_ops(halves):
     assert (e1 & e2) == meet(e1, e2)
     assert (e1 | e2) == join(e1, e2)
     assert ~e1 == complement(e1)
+    assert halves.bottom() <= e1 <= e1 <= halves.top()
+    assert not e1 <= e2 and not halves.top() <= e1
+    with pytest.raises(ValueError, match="partition mismatch"):
+        e1 <= thirds.top()
 
 
 @settings(max_examples=100, deadline=None)

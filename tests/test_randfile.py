@@ -372,6 +372,32 @@ def test_malformed_file_pinned_error(case, tmp_path, capsys):
     assert captured.err == line + "\n"
 
 
+_ONE_ATOM = {"theory": "dlo", "atoms": [["w1", "1"]], "elements": {"a": ["0"]}}
+
+
+@pytest.mark.parametrize(
+    "payload, line",
+    [
+        ({**_ONE_ATOM, "theory": 3}, "error: theory must be a string, got 3"),
+        ([_ONE_ATOM], "error: top level must be an object"),
+        (
+            {**_ONE_ATOM, "atoms": []},
+            "error: atoms must be a nonempty list of [name, weight] pairs",
+        ),
+        (
+            {**_ONE_ATOM, "elements": [["a", ["0"]]]},
+            "error: elements must map names to value lists",
+        ),
+    ],
+)
+def test_malformed_shape_pinned_error(payload, line, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["dclb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 @pytest.mark.parametrize(
     "edit",
     [
