@@ -8,10 +8,10 @@ definability deciders return identical verdicts.  Each check is a named
 function that returns the first failure it finds, "" when none.  The
 generator draws small instances (2..6 atoms, exact dyadic or ternary
 weights) so every check stays brute-forceable.  fuzz runs its instances
-on one forked worker per usable CPU: each draws the same seeded instances,
-runs its own and streams back only their (name, detail) pairs.  The check
-and fuzz subcommands' handlers are here too, so no other request
-compiles them.
+on one forked worker per usable CPU, each placed on a CPU of its own:
+each draws the same seeded instances, runs its own and streams back only
+their (name, detail) pairs.  The check and fuzz subcommands' handlers
+are here too, so no other request compiles them.
 """
 
 from __future__ import annotations
@@ -470,13 +470,19 @@ def run_fuzz(
 
     Instance i runs on worker i % W of W = _workers(count): this process
     is worker 0, and the others are children forked before the first draw
-    (_serve).  Their results are read in instance order, so the answer
-    does not depend on W.  An instance whose worker sent no result runs
-    again here, where it raises as itself, or else raises RuntimeError."""
+    (_serve).  Worker w runs on CPU w of this process's CPUs, modulo their
+    number, until the run ends.  Their results are read in instance order,
+    so the answer does not depend on W.  An instance whose worker sent no
+    result runs again here, where it raises as itself, or else raises
+    RuntimeError."""
     workers = _workers(count)
+    cpus = []  # this process's own CPUs, while the workers are placed
+    if workers > 1 and hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
     readers = []  # the read end of each child's pipe, in worker order
     pids = []
     try:
+        _place(0, cpus, 0)
         for w in range(1, workers):
             read_end, write_end = os.pipe()
             try:
@@ -486,12 +492,14 @@ def run_fuzz(
                 os.close(write_end)
                 raise
             if pid == 0:
+                _place(0, cpus, w)
                 os.close(read_end)
                 for pipe in readers:
                     pipe.close()
                 _serve(count, seed, w, workers, write_end)
             os.close(write_end)
             pids.append(pid)
+            _place(pid, cpus, w)
             readers.append(open(read_end, "rb"))
         for i, (inst, s) in enumerate(_jobs(count, seed)):
             if i % workers == 0:
@@ -513,6 +521,7 @@ def run_fuzz(
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
+        _place(0, cpus)
 
 
 # Forking costs a fraction of a millisecond, where a spawned worker would
@@ -522,7 +531,10 @@ def run_fuzz(
 # Drawing an instance costs little beside its checks, so every worker
 # draws them all.  Each process holds one instance at a time, and a worker
 # that runs ahead blocks once its pipe is full, so memory does not grow
-# with the count.
+# with the count.  Each worker is placed on a CPU of its own: Linux at
+# times keeps a freshly forked child on its parent's CPU, where two
+# unplaced workers took turns while the other CPU sat idle.  A child
+# places itself, and the parent places it too, so it need not wait a turn.
 
 def _usable_cpus() -> int:
     try:
@@ -539,6 +551,16 @@ def _workers(count: int) -> int:
     if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return 1
     return max(1, min(count, _usable_cpus()))
+
+
+def _place(pid: int, cpus: list[int], w: int | None = None) -> None:
+    """Run process pid (0: this one) on CPU cpus[w % len(cpus)] alone, or
+    on all of cpus when w is None; where it cannot be placed, it stays."""
+    if cpus:
+        try:
+            os.sched_setaffinity(pid, cpus if w is None else {cpus[w % len(cpus)]})
+        except OSError:
+            pass
 
 
 def _serve(count: int, seed: int, w: int, workers: int, fd: int) -> None:

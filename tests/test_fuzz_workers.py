@@ -6,7 +6,9 @@ runs the plain loop, and to 3, which forks two children on any machine,
 and compares stdout, stderr and the exit code.  A check added to the
 suite forces a failure, an error or a killed worker on chosen instances;
 with three workers, instance i runs in the parent when i % 3 is 0 and in
-a child otherwise.
+a child otherwise.  Worker w runs on CPU w of the test process's CPUs,
+modulo their number, and the parent gets its own CPUs back when the run
+ends.
 """
 
 from __future__ import annotations
@@ -38,13 +40,25 @@ def _open_fds() -> list[str] | None:
         return None
 
 
+def _cpus() -> set[int] | None:
+    """The CPUs this process may run on; None without the affinity call."""
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    return os.sched_getaffinity(0)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     fds = _open_fds()
+    cpus = _cpus()
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
+    left = _cpus()
+    if left != cpus:  # so that the next test starts unplaced all the same
+        os.sched_setaffinity(0, cpus)
+    assert left == cpus
 
 
 def _fuzz(
@@ -282,6 +296,15 @@ def test_a_failed_fork_is_an_internal_error(capsys, monkeypatch):
     )
 
 
+def test_a_run_left_early_stops_its_workers(monkeypatch):
+    # closing the generator reaps the children and restores the CPUs,
+    # which no_child_left checks
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
+    run = checks.run_fuzz(COUNT, 0)
+    next(run)
+    run.close()
+
+
 def test_without_fork_the_run_stays_in_process(capsys, monkeypatch):
     alone = _fuzz(capsys, monkeypatch, 1, 9)
     monkeypatch.delattr(os, "fork")
@@ -302,3 +325,43 @@ def test_a_process_with_threads_does_not_fork(monkeypatch):
         release.set()
         thread.join(5)
     assert not thread.is_alive()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_cpus() or ()) < 2,
+    reason="needs the affinity calls and two CPUs",
+)
+def test_each_worker_runs_on_a_cpu_of_its_own(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    _add_check(monkeypatch, lambda i: sorted(os.sched_getaffinity(0)))
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
+    placed = [dict(results)["forced"] for _, results in checks.run_fuzz(COUNT, 1)]
+    assert placed == [[cpus[(i % 3) % len(cpus)]] for i in range(COUNT)]
+
+
+def test_usable_cpus_without_the_affinity_call_counts_the_machine_s(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert checks._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert checks._usable_cpus() == 1
+
+
+def _refused(pid, cpus):
+    raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+
+@pytest.mark.parametrize("placement", ["missing", "refused"])
+def test_workers_that_cannot_be_placed_answer_as_one_process(
+    capsys, monkeypatch, placement
+):
+    if placement == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _refused, raising=False)
+    cpus = _cpus()
+    # each process reports the CPUs it runs on: all of the parent's
+    _add_check(monkeypatch, lambda i: "" if _cpus() == cpus else f"placed {i}")
+    code, out, err = _both(capsys, monkeypatch, 8)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"{COUNT}/{COUNT} instances passed all cross-checks"
