@@ -37,10 +37,7 @@ _EXPORTS = {
         "pointwise_max", "pointwise_min", "refine", "substitute", "transport_elem",
         "transport_event", "universal_closure",
     ),
-    "measure": (
-        "Event", "Partition", "complement", "event_dist", "join", "meet",
-        "partition",
-    ),
+    "measure": ("Event", "Partition", "complement", "event_dist", "join", "meet"),
     "randvar": (
         "RandomElement", "Randomization", "differs", "elem_dist", "eval_event",
         "glue",

@@ -46,7 +46,7 @@ from .formula import (
     free_vars,
     is_quantifier_free,
 )
-from .measure import complement, event_dist, join, meet, partition
+from .measure import Partition, complement, event_dist, join, meet
 from .oracles import (
     _if_less_closure_naive,
     eval_direct,
@@ -91,7 +91,7 @@ def random_instance(rng: random.Random, kind: str | None = None) -> Randomizatio
     pool = _MASS_POOLS[rng.randrange(len(_MASS_POOLS))]
     masses = [pool[rng.randrange(len(pool))] for _ in range(n_atoms)]
     total = sum(masses)
-    part = partition(
+    part = Partition(
         (f"w{i + 1}", Fraction(m, total)) for i, m in enumerate(masses)
     )
     if kind is None:
@@ -284,7 +284,7 @@ def _check_glue(r, rng) -> str:
     e = r.partition.event(members)
     c = glue(a, b, e)
     ok = e.members.isdisjoint(differs(c, a).members)
-    ok = ok and (~e).members <= (~differs(c, b)).members
+    ok = ok and complement(e).members <= complement(differs(c, b)).members
     # characteristic elements: a nowhere-agreeing pair recovers any event
     lo, hi = _constants(r)
     ind = indicator(e, hi, lo)

@@ -30,7 +30,7 @@ from .algebra import (
     pointwise_definable_event,
 )
 from .formula import Atom, Const, Exists, Formula, Var
-from .measure import Event
+from .measure import Event, complement
 from .randvar import (
     RandomElement,
     Randomization,
@@ -39,7 +39,7 @@ from .randvar import (
     differs,
     eval_event,
 )
-from .records import MutableRecord, Signature, Value
+from .records import Record, Signature, Value, _set
 from .theory import conj_all
 
 
@@ -173,7 +173,7 @@ def is_definable_by_pinning(r: Randomization, elem: Param, params: ParamSet) -> 
         raise ValueError("pinning decider needs an ordered theory")
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    agree = [(~differs(b, x)).members for x in elems]
+    agree = [complement(differs(b, x)).members for x in elems]
     return all(
         any(ev.members <= same for same in agree)
         for _, ev in _realized_events(r, elems)
@@ -225,14 +225,14 @@ def piecewise_definable(
 # combined report
 # ---------------------------------------------------------------------------
 
-class DefinabilityReport(MutableRecord):
+class DefinabilityReport(Record):
     """The verdict and each decider's answer."""
 
     __slots__ = ("verdict", "paths")
 
     def __init__(self, verdict: bool, paths: dict[str, bool]):
-        self.verdict = verdict
-        self.paths = paths
+        _set(self, "verdict", verdict)
+        _set(self, "paths", paths)
 
     @property
     def agree(self) -> bool:

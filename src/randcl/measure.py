@@ -1,9 +1,12 @@
 """Finite probability algebra with exact rational weights.
 
 A Partition is a list of named atoms with positive Fraction weights summing
-to one; an Event is a set of atom indices.  Everything downstream (event
-distance here, the parameters' event algebras in algebra, refinement in
-oracles) stays in exact arithmetic.
+to one; an Event is a set of atom indices, combined by meet, join and
+complement.  An exact value that is not yet a Fraction (a weight, a DLO
+value, a fraction string of a file) enters through as_fraction, which
+counts a string's digits before it builds the value.  Everything
+downstream (event distance here, the parameters' event algebras in
+algebra, refinement in oracles) stays in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,10 +24,29 @@ _TOO_MANY_DIGITS = 10**_MAX_DIGITS
 
 
 def as_fraction(v: object) -> Fraction:
-    """v as an exact Fraction; a float is refused rather than rounded."""
-    if isinstance(v, float):
+    """v as an exact Fraction.  Raises ValueError when it is not one: a
+    float is refused rather than rounded, and a bool rather than read as 0
+    or 1.  A string whose numerator or denominator could need more than
+    _MAX_DIGITS digits is refused before the value is built: its length
+    must not exceed that, or for a string with an exponent, the characters
+    before it plus the exponent's size."""
+    if isinstance(v, str):
+        digits = len(v)
+        if "e" in v or "E" in v:
+            e = max(v.rfind("e"), v.rfind("E"))
+            # what follows the last e of a valid string is its exponent; int()
+            # refuses anything else, and exponents past _MAX_DIGITS digits
+            digits = e + abs(int(v[e + 1 :]))
+        if digits > _MAX_DIGITS:
+            raise ValueError(f"fraction string has more than {_MAX_DIGITS} digits")
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
+    if isinstance(v, (bool, float)):
         raise ValueError(
-            f"float {v!r} is not exact; use a Fraction, an int or a fraction string"
+            f"{type(v).__name__} {v!r} is not exact; "
+            "use a Fraction, an int or a fraction string"
         )
     return Fraction(v)
 
@@ -101,10 +123,6 @@ class Partition(Record):
         return Event(self, ())
 
 
-def partition(pairs: Iterable[tuple[str, Fraction | int | str]]) -> Partition:
-    return Partition(tuple(pairs))
-
-
 class Event(Record):
     __slots__ = ("partition", "members")
 
@@ -131,19 +149,6 @@ class Event(Record):
 
     def is_bottom(self) -> bool:
         return not self.members
-
-    def __and__(self, other: Event) -> Event:
-        return meet(self, other)
-
-    def __or__(self, other: Event) -> Event:
-        return join(self, other)
-
-    def __invert__(self) -> Event:
-        return complement(self)
-
-    def __le__(self, other: Event) -> bool:
-        _same_partition(self, other)
-        return self.members <= other.members
 
     def __str__(self) -> str:
         names = self.partition.names

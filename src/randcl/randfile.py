@@ -10,7 +10,8 @@ The on-disk shape::
 
 Weights are exact fraction strings.  Element values are fraction strings
 for the ordered theory and plain integers for an enumerated domain — no
-floating point ever touches an instance file.
+floating point ever touches an instance file.  Each distinct fraction
+string of a file is converted once, by measure.as_fraction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .measure import _MAX_DIGITS, Partition
+from .measure import _MAX_DIGITS, Partition, as_fraction
 from .randvar import RandomElement, Randomization, _value_texts
 from .records import DLO, Signature, finite_enum
 
@@ -45,26 +46,6 @@ def _theory_string(sig: Signature) -> str:
     return "dlo" if sig.is_dlo else f"enum({sig.n})"
 
 
-def _fraction(text: str) -> Fraction:
-    """text as an exact Fraction.  Raises ValueError when it is not one, or
-    when its numerator or denominator could need more than _MAX_DIGITS
-    digits, which is checked before the value is built: the string's
-    length must not exceed it, or for a string with an exponent, the
-    characters before it plus the exponent's size."""
-    digits = len(text)
-    if "e" in text or "E" in text:
-        e = max(text.rfind("e"), text.rfind("E"))
-        # what follows the last e of a valid string is its exponent; int()
-        # refuses anything else, and exponents past _MAX_DIGITS digits
-        digits = e + abs(int(text[e + 1 :]))
-    if digits > _MAX_DIGITS:
-        raise ValueError(text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
-
-
 def _parse_fraction(raw: object, what: str, memo: dict[str, Fraction]) -> Fraction:
     """raw as an exact Fraction.  memo maps the strings already parsed from
     this file to their values, so a string that repeats is parsed once."""
@@ -73,7 +54,7 @@ def _parse_fraction(raw: object, what: str, memo: dict[str, Fraction]) -> Fracti
     value = memo.get(raw)
     if value is None:
         try:
-            value = memo[raw] = _fraction(raw)
+            value = memo[raw] = as_fraction(raw)
         except ValueError:
             raise ValueError(f"bad fraction {raw!r} for {what}") from None
     return value
@@ -91,7 +72,7 @@ def _fractions(
     try:
         distinct = set(raws)  # an unhashable entry (a list) raises TypeError
         if set(map(type, distinct)) <= {str}:
-            memo.update({s: _fraction(s) for s in distinct.difference(memo)})
+            memo.update({s: as_fraction(s) for s in distinct.difference(memo)})
             return tuple(map(memo.__getitem__, raws))
     except (TypeError, ValueError):
         pass  # the scan below names the first bad entry

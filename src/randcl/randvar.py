@@ -17,7 +17,7 @@ from itertools import compress
 from operator import itemgetter, ne
 
 from .measure import Event, Partition, _prob, as_fraction
-from .records import MutableRecord, Record, Signature, Value, _set
+from .records import Record, Signature, Value, _set
 
 
 class RandomElement(Record):
@@ -74,7 +74,7 @@ def _element_texts(elems: Sequence[RandomElement]) -> list[str]:
     return ["(" + ", ".join(t) + ")" for t in texts]
 
 
-class Randomization(MutableRecord):
+class Randomization(Record):
     """A theory, a weighted partition, and named random elements.
 
     _last_type_rows is _type_rows's memo, one (elements, rows) pair or
@@ -89,13 +89,14 @@ class Randomization(MutableRecord):
         partition: Partition,
         elements: dict[str, RandomElement] | None = None,
     ):
-        self.sig = sig
-        self.partition = partition
-        self.elements = {} if elements is None else elements
-        self._last_type_rows = None
-        for name, e in self.elements.items():
+        elements = {} if elements is None else elements
+        for name, e in elements.items():
             if e.sig != sig or e.partition != partition:
                 raise ValueError(f"element {name!r} built for a different space")
+        _set(self, "sig", sig)
+        _set(self, "partition", partition)
+        _set(self, "elements", elements)
+        _set(self, "_last_type_rows", None)
 
     @classmethod
     def build(
@@ -216,7 +217,7 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     if r.sig.is_dlo:
         key = {t: _dense_ranks(t) for t in set(rows)}
         rows = list(map(key.__getitem__, rows))
-    r._last_type_rows = (elems, rows)
+    _set(r, "_last_type_rows", (elems, rows))
     return rows
 
 

@@ -1,8 +1,9 @@
 """The engine's immutable value records, and the two signatures.
 
-Every module of the engine builds its value classes on Record, so this
-module imports nothing of the package: a request that reads no formula
-loads it without the parser or the quantifier eliminator.
+Every value class of the engine is a Record, whose fields are set once
+when it is built.  This module imports nothing of the package: a request
+that reads no formula loads it without the parser or the quantifier
+eliminator.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Record:
     reads ``Name(field=value, ...)`` and pickling calls the class on the
     fields.  Slots with a leading underscore hold derived state and take
     part in none of these.  Assigning or deleting an attribute raises
-    AttributeError.
+    AttributeError.  A record with a dict field is unhashable.
     """
 
     __slots__ = ()
@@ -87,16 +88,6 @@ class Record:
             f"{n}={v!r}" for n, v in zip(self._field_names, self._fields())
         )
         return f"{self.__class__.__name__}({fields})"
-
-
-class MutableRecord(Record):
-    """A Record whose fields may be assigned; unhashable, as its ``==``
-    can change."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from randcl import DLO, Randomization, finite_enum, partition
+from randcl import DLO, Partition, Randomization, finite_enum
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def swap_pair() -> Randomization:
     The canonical instance: hi is the pointwise max of a and b, lo the
     pointwise min, and definability exchange fails between b and hi.
     """
-    part = partition([("w1", "1/2"), ("w2", "1/2")])
+    part = Partition([("w1", "1/2"), ("w2", "1/2")])
     return Randomization.build(
         DLO,
         part,
@@ -24,7 +24,7 @@ def swap_pair() -> Randomization:
 def coin() -> Randomization:
     """Two-valued enumerated domain on a fair two-atom space; b is the
     identity coin, pointwise definable everywhere yet not definable."""
-    part = partition([("w1", "1/2"), ("w2", "1/2")])
+    part = Partition([("w1", "1/2"), ("w2", "1/2")])
     return Randomization.build(
         finite_enum(2),
         part,

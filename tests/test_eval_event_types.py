@@ -13,13 +13,13 @@ import pytest
 
 from randcl import (
     DLO,
+    Partition,
     Randomization,
     eval_direct,
     eval_event,
     finite_enum,
     free_vars,
     parse,
-    partition,
 )
 from randcl.checks import random_formula
 from randcl.oracles import type_key
@@ -29,7 +29,7 @@ VARS = ("p", "q", "s")
 
 def _instance(sig, rows: list[tuple]) -> Randomization:
     n = len(rows)
-    part = partition((f"w{i + 1}", Fraction(1, n)) for i in range(n))
+    part = Partition((f"w{i + 1}", Fraction(1, n)) for i in range(n))
     columns = {v: [row[k] for row in rows] for k, v in enumerate(VARS)}
     return Randomization.build(sig, part, columns)
 

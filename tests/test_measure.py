@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +27,6 @@ from randcl import (
     loads,
     meet,
     parse,
-    partition,
     refine,
     transport_event,
 )
@@ -34,12 +37,12 @@ HALF = Fraction(1, 2)
 
 @pytest.fixture
 def halves() -> Partition:
-    return partition([("w1", "1/2"), ("w2", "1/2")])
+    return Partition([("w1", "1/2"), ("w2", "1/2")])
 
 
 @pytest.fixture
 def thirds() -> Partition:
-    return partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
+    return Partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +51,12 @@ def thirds() -> Partition:
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError, match="weights sum to 5/6"):
-        partition([("w1", "1/2"), ("w2", "1/3")])
+        Partition([("w1", "1/2"), ("w2", "1/3")])
 
 
 def test_weights_must_be_positive():
     with pytest.raises(ValueError, match="nonpositive"):
-        partition([("w1", "0"), ("w2", "1")])
+        Partition([("w1", "0"), ("w2", "1")])
 
 
 def test_shared_weight_objects_give_each_atom_its_numerator():
@@ -82,12 +85,12 @@ def test_weight_errors_name_the_first_bad_atom_among_shared_objects():
 
 def test_atom_names_unique():
     with pytest.raises(ValueError, match="duplicate"):
-        partition([("w", "1/2"), ("w", "1/2")])
+        Partition([("w", "1/2"), ("w", "1/2")])
 
 
 def test_partition_rejects_float_weights():
     with pytest.raises(ValueError, match="float 0.5 is not exact"):
-        partition([("w1", 0.5), ("w2", "1/2")])
+        Partition([("w1", 0.5), ("w2", "1/2")])
 
 
 def test_partition_class_rejects_float_weights():
@@ -96,10 +99,43 @@ def test_partition_class_rejects_float_weights():
 
 
 def test_exact_weights_accepted_in_every_form():
-    p = partition([("w1", HALF), ("w2", "1/4"), ("w3", Fraction(1, 4))])
+    p = Partition([("w1", HALF), ("w2", "1/4"), ("w3", Fraction(1, 4))])
     assert [w for _, w in p.atoms] == [HALF, Fraction(1, 4), Fraction(1, 4)]
     assert all(type(w) is Fraction for _, w in p.atoms)
     assert Partition((("w1", 1),)).weight(0) == 1
+
+
+# values the one converter, measure.as_fraction, must refuse, reached
+# directly, as a weight and as a DLO value; the exponent strings would
+# take seconds to minutes to build
+REFUSED = [
+    "as_fraction('1e20000000')",
+    "as_fraction('1e-3000000')",
+    "Partition([('w1', '1e20000000'), ('w2', '1/2')])",
+    "Partition([('w1', '1e-3000000'), ('w2', '1/2')])",
+    "RandomElement(DLO, HALVES, ['1e20000000', '0'])",
+    "RandomElement(DLO, HALVES, ['1e-3000000', '0'])",
+    "as_fraction('1/0')",
+    "as_fraction(True)",
+]
+
+
+@pytest.mark.parametrize("expr", REFUSED)
+def test_converter_refuses_at_once(expr):
+    # a fresh process with a time cap, so a value that is built after all
+    # fails the test instead of hanging the suite
+    code = (
+        "from randcl import DLO, Partition, RandomElement\n"
+        "from randcl.measure import as_fraction\n"
+        "HALVES = Partition([('w1', '1/2'), ('w2', '1/2')])\n"
+        f"try:\n    {expr}\nexcept ValueError:\n    print('ValueError')\n"
+    )
+    src = str(Path(measure.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.stdout == "ValueError\n", proc.stderr
 
 
 def test_event_accepts_names_and_indices(halves):
@@ -124,7 +160,7 @@ def test_event_accepts_every_index_of_a_large_partition():
 
 
 def test_engine_built_events_are_the_checked_constructor_s():
-    part = partition([("w1", "1/4"), ("w2", "1/4"), ("w3", "1/2")])
+    part = Partition([("w1", "1/4"), ("w2", "1/4"), ("w3", "1/2")])
     r = Randomization.build(DLO, part, {"a": (0, 1, 2), "b": (1, 1, 0)})
     less = eval_event(r, parse("a < b"), {"a": "a", "b": "b"})
     events = [
@@ -167,13 +203,10 @@ def test_bool_ops(halves, thirds):
     assert meet(e1, e2) == halves.bottom()
     assert complement(e1) == e2
     assert join(e1, complement(e1)) == halves.top()
-    assert (e1 & e2) == meet(e1, e2)
-    assert (e1 | e2) == join(e1, e2)
-    assert ~e1 == complement(e1)
-    assert halves.bottom() <= e1 <= e1 <= halves.top()
-    assert not e1 <= e2 and not halves.top() <= e1
-    with pytest.raises(ValueError, match="partition mismatch"):
-        e1 <= thirds.top()
+    assert join(e1, e2) == halves.top() and complement(halves.top()) == halves.bottom()
+    for combine in (meet, join):
+        with pytest.raises(ValueError, match="partition mismatch"):
+            combine(e1, thirds.top())
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,7 +215,7 @@ def test_mu_finitely_additive(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     masses = [rng.randint(1, 8) for _ in range(n)]
-    part = partition(
+    part = Partition(
         (f"w{i}", Fraction(m, sum(masses))) for i, m in enumerate(masses)
     )
     e1 = part.event([i for i in range(n) if rng.random() < 0.5])
@@ -239,7 +272,7 @@ def test_algebra_atoms_validated(thirds):
 def test_generators_are_unions_of_atoms(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 6)
-    part = partition((f"w{i}", Fraction(1, n)) for i in range(n))
+    part = Partition((f"w{i}", Fraction(1, n)) for i in range(n))
     gens = [
         part.event([i for i in range(n) if rng.random() < 0.5])
         for _ in range(rng.randint(0, 4))
@@ -284,7 +317,7 @@ def test_refine_preserves_event_dist(thirds):
 
 def test_event_by_name_matches_scan():
     n = 8000
-    part = partition((f"a{i}", Fraction(1, n)) for i in range(n))
+    part = Partition((f"a{i}", Fraction(1, n)) for i in range(n))
     names = [f"a{i}" for i in range(0, n, 2)]
     wanted = set(names)
     scanned = frozenset(i for i, (name, _) in enumerate(part.atoms) if name in wanted)
@@ -295,7 +328,7 @@ def test_event_by_name_matches_scan():
 
 
 def test_name_index_is_not_compared_or_shown(halves):
-    twin = partition([("w1", "1/2"), ("w2", "1/2")])
+    twin = Partition([("w1", "1/2"), ("w2", "1/2")])
     assert twin == halves and hash(twin) == hash(halves)
     assert "_index" not in repr(halves)
 

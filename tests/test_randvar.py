@@ -22,6 +22,7 @@ from randcl import (
     Exists,
     Not,
     Or,
+    Partition,
     RandomElement,
     Randomization,
     Var,
@@ -40,7 +41,6 @@ from randcl import (
     join,
     meet,
     parse,
-    partition,
     pointwise_definable_event,
     pointwise_max,
     pointwise_min,
@@ -117,7 +117,7 @@ _FOREIGN_USES = {
 @pytest.mark.parametrize("use", sorted(_FOREIGN_USES))
 def test_element_of_another_space_is_rejected(swap_pair, use):
     # same theory and atom names, different weights
-    other = partition([("w1", "1/3"), ("w2", "2/3")])
+    other = Partition([("w1", "1/3"), ("w2", "2/3")])
     foreign = RandomElement(DLO, other, (0, 1))
     with pytest.raises(ValueError, match="different space"):
         _FOREIGN_USES[use](swap_pair, foreign)
@@ -181,7 +181,7 @@ def test_elem_dist_metric_axioms(swap_pair):
 
 def test_elem_dist_checks_both_elements_share_a_space(swap_pair):
     a = swap_pair.element("a")
-    elsewhere = RandomElement(DLO, partition([("w1", 1)]), (0,))
+    elsewhere = RandomElement(DLO, Partition([("w1", 1)]), (0,))
     with pytest.raises(ValueError, match="partition mismatch"):
         elem_dist(a, elsewhere)
     enum = RandomElement(finite_enum(2), a.partition, (0, 1))
@@ -207,8 +207,8 @@ def test_glue_postcondition(swap_pair):
     a, b = r.element("a"), r.element("hi")
     e = r.partition.event(["w2"])
     c = glue(a, b, e)
-    assert e.members <= (~differs(c, a)).members
-    assert (~e).members <= (~differs(c, b)).members
+    assert e.members <= complement(differs(c, a)).members
+    assert complement(e).members <= complement(differs(c, b)).members
 
 
 def test_indicator(swap_pair):
@@ -360,7 +360,7 @@ def test_witness_picks_smallest_forced_value(swap_pair):
 
 def test_witness_picks_tightest_gap_per_atom():
     # one order type on both atoms, but the tighter gap differs
-    part = partition([("w1", "1/2"), ("w2", "1/2")])
+    part = Partition([("w1", "1/2"), ("w2", "1/2")])
     r = Randomization.build(
         DLO, part, {"a": (0, 0), "b": (1, 5), "c": (3, 6)}
     )
@@ -377,7 +377,7 @@ def _enum_witness_case(draw):
     size = draw(st.integers(1, 4))
     values = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
     elems = {name: tuple(draw(values)) for name in ("a", "b")}
-    part = partition([(f"w{i}", Fraction(1, size)) for i in range(size)])
+    part = Partition([(f"w{i}", Fraction(1, size)) for i in range(size)])
     r = Randomization.build(finite_enum(n), part, elems)
     terms = st.sampled_from([Var("t"), Var("a"), Var("b"), *map(Const, range(n))])
     atoms = st.builds(lambda lhs, rhs: Atom(lhs, "=", rhs), terms, terms)
@@ -472,7 +472,7 @@ def _instance(rng: random.Random) -> Randomization:
     n_atoms = rng.randint(1, 9)
     masses = [rng.randint(1, 5) for _ in range(n_atoms)]
     total = sum(masses)
-    part = partition((f"w{i + 1}", Fraction(m, total)) for i, m in enumerate(masses))
+    part = Partition((f"w{i + 1}", Fraction(m, total)) for i, m in enumerate(masses))
     if rng.random() < 0.25:
         sig = finite_enum(rng.randint(2, 4))
         elements = {
@@ -619,7 +619,7 @@ def test_large_denominators_compare_exactly():
     # at k = 64 the keys of v and v + 2**-70 tie; an element holding the
     # larger denominator keys at its own, larger k, and a tuple keys every
     # element at the largest k among them
-    part = partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
+    part = Partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
     v = Fraction(1, 3)
     close = v + Fraction(1, 2**70)
     a = RandomElement(DLO, part, [v, close, Fraction(1, 3)])
@@ -662,7 +662,7 @@ def test_mixed_precision_tuples(small, data):
         v + Fraction(1, 2**70) if up else data.draw(st.sampled_from(small))
         for v, up in zip(small, lift)
     ] + [small[0] + Fraction(1, 2**70)]  # at least one fine value
-    part = partition((f"w{i}", Fraction(1, n + 1)) for i in range(n + 1))
+    part = Partition((f"w{i}", Fraction(1, n + 1)) for i in range(n + 1))
     a = RandomElement(DLO, part, [*small, small[-1]])
     b = RandomElement(DLO, part, fine_values)
     kept = _exact_keys(a)
@@ -694,7 +694,7 @@ def test_coprime_denominators_stay_cheap():
     # small fraction of the bound, the same as for any 9000 distinct values
     n = 3000
     ps = _primes(10007, n + 1)
-    part = partition((f"w{i}", Fraction(1, n)) for i in range(n))
+    part = Partition((f"w{i}", Fraction(1, n)) for i in range(n))
     a = RandomElement(DLO, part, [Fraction(1, p) for p in ps[:n]])
     b = RandomElement(DLO, part, [Fraction(1, p) for p in ps[1:]])
     c = RandomElement(DLO, part, [Fraction(i % 3, p) for i, p in enumerate(ps[:n])])

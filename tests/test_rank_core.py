@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from randcl import (
     DLO,
     Event,
+    Partition,
     RandomElement,
     Randomization,
     definability_report,
@@ -29,7 +30,6 @@ from randcl import (
     fo_definable_on,
     glue,
     if_less_closure,
-    partition,
     pointwise_max,
     refine,
     transport_event,
@@ -163,7 +163,7 @@ def test_closure_routes_match_reference_on_random_instances(seed, kind):
 
 def test_closure_of_equal_valued_parameters():
     # two names for one element, and values that tie across elements
-    part = partition([("w1", "1/4"), ("w2", "1/4"), ("w3", "1/2")])
+    part = Partition([("w1", "1/4"), ("w2", "1/4"), ("w3", "1/2")])
     r = Randomization.build(
         DLO,
         part,
@@ -220,7 +220,7 @@ def test_isdef_does_not_enumerate_the_closure(monkeypatch):
     closure has 6**12 elements, and membership is still decided."""
     rng = random.Random(7)
     n_atoms, n_params = 12, 6
-    part = partition((f"w{i}", Fraction(1, n_atoms)) for i in range(n_atoms))
+    part = Partition((f"w{i}", Fraction(1, n_atoms)) for i in range(n_atoms))
     rows = [rng.sample(range(n_params), n_params) for _ in range(n_atoms)]
     elements = {f"p{k}": [row[k] for row in rows] for k in range(n_params)}
     picks = [row[rng.randrange(n_params)] for row in rows]
@@ -246,7 +246,7 @@ def test_isdef_does_not_enumerate_the_closure(monkeypatch):
 @given(masses=st.lists(st.integers(1, 12), min_size=1, max_size=8), data=st.data())
 def test_event_prob_is_the_fraction_sum(masses, data):
     total = sum(masses)
-    part = partition((f"w{i}", Fraction(m, total)) for i, m in enumerate(masses))
+    part = Partition((f"w{i}", Fraction(m, total)) for i, m in enumerate(masses))
     members = data.draw(st.sets(st.integers(0, part.size - 1)))
     e = part.event(members)
     assert e.prob == sum((part.weight(i) for i in members), Fraction(0))
@@ -262,9 +262,9 @@ def test_event_prob_is_the_fraction_sum(masses, data):
 
 
 def test_integer_weights_are_derived_state():
-    a = partition([("x", "1/3"), ("y", "1/6"), ("z", "1/2")])
-    b = partition([("x", Fraction(2, 6)), ("y", Fraction(1, 6)), ("z", Fraction(3, 6))])
+    a = Partition([("x", "1/3"), ("y", "1/6"), ("z", "1/2")])
+    b = Partition([("x", Fraction(2, 6)), ("y", Fraction(1, 6)), ("z", Fraction(3, 6))])
     assert a == b and hash(a) == hash(b)
     assert "_nums" not in repr(a) and "_denom" not in repr(a)
     with pytest.raises(ValueError, match="weights sum to 7/6"):
-        partition([("x", "1/3"), ("y", "1/3"), ("z", "1/2")])
+        Partition([("x", "1/3"), ("y", "1/3"), ("z", "1/2")])

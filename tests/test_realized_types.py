@@ -18,7 +18,9 @@ import pytest
 from randcl import (
     DLO,
     Exists,
+    Partition,
     Randomization,
+    complement,
     differs,
     eval_event,
     finite_enum,
@@ -26,7 +28,6 @@ from randcl import (
     glue,
     isolating_formulas,
     load,
-    partition,
     pointwise_max,
     pointwise_min,
 )
@@ -64,7 +65,7 @@ def _ref_pinning(r, b, elems):
         ev = eval_event(r, psi, binding)
         if ev.is_bottom():
             continue
-        if not any(ev.members <= (~differs(b, x)).members for x in elems):
+        if not any(ev.members <= complement(differs(b, x)).members for x in elems):
             return False
     return True
 
@@ -161,7 +162,7 @@ def _many_params(sig, n_params, n_atoms, seed):
     closure at most n^3 elements.
     """
     rng = random.Random(seed)
-    part = partition((f"w{i}", Fraction(1, n_atoms)) for i in range(n_atoms))
+    part = Partition((f"w{i}", Fraction(1, n_atoms)) for i in range(n_atoms))
     if sig.is_dlo:
         rows = [[rng.randrange(2) for _ in range(n_params)] for _ in range(n_atoms)]
         b = [rng.choice([0, 1, Fraction(1, 2)]) for _ in range(n_atoms)]

@@ -175,13 +175,13 @@ def _mixed(*parts: str):
     ],
 )
 def test_signature_error_is_raised_first_and_names_the_first_atom(f, n, message):
-    from randcl import Randomization, check_signature, eval_event, partition
+    from randcl import Partition, Randomization, check_signature, eval_event
 
     with pytest.raises(ValueError) as expected:
         check_signature(f, finite_enum(n))
     # x is unbound too; the signature error still comes first
     r = Randomization.build(
-        finite_enum(n), partition([("w1", "1")]), {"a": [0], "b": [1]}
+        finite_enum(n), Partition([("w1", "1")]), {"a": [0], "b": [1]}
     )
     with pytest.raises(ValueError) as got:
         eval_event(r, f, {"a": "a", "b": "b"})
