@@ -20,7 +20,6 @@ from .randvar import (
     RandomElement,
     Randomization,
     _exact_keys,
-    _int_columns,
     _resolve,
     _type_rows,
 )
@@ -115,38 +114,18 @@ def fo_event_algebra(r: Randomization, params: ParamSet) -> EventAlgebra:
 # pointwise definability
 # ---------------------------------------------------------------------------
 
-def _places(
+def _pointwise_event(
     r: Randomization, elems: Sequence[RandomElement], b: RandomElement
-) -> list[Value]:
-    """The element's own column of the type rows of (elems, b): with the
-    rows of elems (randvar._type_rows), it gives b's type on each atom.
-
-    Under DLO, 2k where b equals the parameters' value of rank k, 2k + 1
-    where b lies strictly between ranks k and k + 1, and -1 below every
-    value; so an even place means some parameter pins b there.  Under an
-    enumerated domain, b's value.
-    """
-    if not r.sig.is_dlo:
-        return list(b.values)
-    return list(map(_place, zip(*_int_columns(r.sig, (*elems, b)))))
-
-
-def _place(row: tuple[int, ...]) -> int:
-    """_places's entry for one atom, given the parameters' values there
-    and then the element's, as ints that compare as the values do."""
-    params, v = row[:-1], row[-1]
-    k = len(set(filter(v.__gt__, params)))  # v's rank among the parameters
-    return 2 * k if v in params else 2 * k - 1
-
-
-def _pointwise_event(r: Randomization, places: Sequence[Value]) -> Event:
-    """pointwise_definable_event, from the element's places (see _places)."""
+) -> Event:
+    """pointwise_definable_event of resolved arguments.  Under DLO some
+    parameter pins b on an atom exactly where b's entry in the type row of
+    (elems, b) there is one of the parameters' entries."""
     if not r.sig.is_dlo:
         return r.partition.top()  # constants name every point
-    # some parameter pins the value exactly where its place is even
-    pinned = [p % 2 == 0 for p in places]
-    members = frozenset(itertools.compress(range(len(pinned)), pinned))
-    return Event(r.partition, members)
+    joint = _type_rows(r, (*elems, b))
+    pinned = {row: row[-1] in row[:-1] for row in set(joint)}
+    members = itertools.compress(range(len(joint)), map(pinned.__getitem__, joint))
+    return Event(r.partition, frozenset(members))
 
 
 def pointwise_definable_event(
@@ -155,7 +134,7 @@ def pointwise_definable_event(
     """Atoms on which the element's value is definable from the parameter
     values inside the fiber model."""
     b = _resolve(r, elem)
-    return _pointwise_event(r, _places(r, _resolve_params(r, params), b))
+    return _pointwise_event(r, _resolve_params(r, params), b)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -363,15 +364,20 @@ def run() -> None:
     A request frees next to nothing by cycle collection, so the first
     generation's threshold is raised past what any request of the
     benchmark's size allocates: a long fuzz run is still collected every
-    100k net allocations.  Every object still alive when main returns is
-    frozen (gc.freeze), so the collections the interpreter runs as it
-    shuts down skip them and the operating system takes back their
-    memory, which is a sizeable share of a short request's time.  Output
-    is flushed and exit handlers run as before."""
+    100k net allocations.  Once main returns, stdout and stderr are
+    flushed and the process leaves through os._exit, skipping the
+    interpreter's teardown, whose collections walk every object still
+    alive; randcl registers no exit handler.  A flush that raises (a
+    closed pipe, say) leaves through sys.exit instead, so the interpreter
+    reports it as it always has."""
     gc.set_threshold(100_000)
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

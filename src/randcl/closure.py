@@ -9,10 +9,12 @@ element) has the event of its existential projection; it is a member of
 the definable closure.  Two of them evaluate the isolating formulas of
 the types the parameters realize on some atom, one formula per type.
 Each decider is one public function; definability_report resolves the
-element and the parameters once and calls all five.  The type groups,
-the pointwise event and the closure enumeration they build on are in
-algebra, and the reference enumerations the cross-checks compare these
-with in oracles.
+element and the parameters once and calls all five.  They read the
+element through the type rows of (parameters, element), which a report
+builds once, as it does the parameters' own (randvar._type_rows).  The
+type groups, the pointwise event and the closure enumeration they build
+on are in algebra, and the reference enumerations the cross-checks
+compare these with in oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .algebra import (
     Param,
     ParamSet,
     _algebra,
-    _places,
     _pointwise_event,
     _resolve_params,
     pointwise_definable_event,
@@ -105,25 +106,24 @@ def _realized_events(
 # the deciders
 # ---------------------------------------------------------------------------
 
-def _fo_definable_on(
-    r: Randomization, e: Event, rows: Sequence[tuple], places: Sequence[Value]
-) -> bool:
-    """fo_definable_on, from the parameters' type rows and the element's
-    places (see _places)."""
-    # the element's place on each parameter type that e meets
-    chosen: dict[tuple, Value] = {}
-    for i in e.members:
-        place = chosen.setdefault(rows[i], places[i])
-        if place != places[i]:
-            return False  # two selected groups over one parameter type
-        if r.sig.is_dlo and place % 2:
+def _fo_definable_on(r: Randomization, e: Event, joint: Sequence[tuple]) -> bool:
+    """fo_definable_on, from the type rows of (parameters, element)."""
+    # the refined groups e meets, one per distinct row: every one on the
+    # sure event, which closure membership asks about
+    size, dlo = len(e.members), r.sig.is_dlo
+    chosen = set(joint if size == len(joint) else map(joint.__getitem__, e.members))
+    heads: set[tuple] = set()
+    for row in chosen:
+        # where the element is pinned, its row less the last entry is the
+        # parameters' row (under an enumerated domain, everywhere)
+        head = row[:-1]
+        if dlo and row[-1] not in head:
             return False  # nothing pins the element on this group
+        if head in heads:
+            return False  # two selected groups over one parameter type
+        heads.add(head)
     # e holds every atom of each refined group it meets
-    return all(
-        chosen.get(rows[i]) != places[i]
-        for i in range(r.partition.size)
-        if i not in e.members
-    )
+    return size == len(joint) or sum(map(chosen.__contains__, joint)) == size
 
 
 def fo_definable_on(
@@ -147,7 +147,7 @@ def fo_definable_on(
     elems = _resolve_params(r, params)
     if e.partition is not r.partition and e.partition != r.partition:
         raise ValueError("partition mismatch")
-    return _fo_definable_on(r, e, _type_rows(r, tuple(elems)), _places(r, elems, b))
+    return _fo_definable_on(r, e, _type_rows(r, (*elems, b)))
 
 
 def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
@@ -159,7 +159,7 @@ def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
     the element refines the parameter event algebra by nothing."""
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+    if not _pointwise_event(r, elems, b).is_top():
         return False
     base = _algebra(r, elems)
     return all(base.contains(atom) for atom in _algebra(r, [*elems, b]).atoms)
@@ -189,7 +189,7 @@ def is_definable_by_isolating_events(
     its existential projection."""
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)
-    if not _pointwise_event(r, _places(r, elems, b)).is_top():
+    if not _pointwise_event(r, elems, b).is_top():
         return False
     n = len(elems)
     u = f"v{n + 1}"
@@ -211,11 +211,9 @@ def piecewise_definable(
     family lists the passing atoms.
     """
     elems = _resolve_params(r, params)
-    rows = _type_rows(r, tuple(elems))
-    places = _places(r, elems, _resolve(r, elem))
+    joint = _type_rows(r, (*elems, _resolve(r, elem)))
     family = tuple(
-        atom for atom in _algebra(r, elems).atoms
-        if _fo_definable_on(r, atom, rows, places)
+        atom for atom in _algebra(r, elems).atoms if _fo_definable_on(r, atom, joint)
     )
     total = sum((ev.prob for ev in family), Fraction(0))
     return total == 1, family

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from decimal import Decimal
 from fractions import Fraction
 
 from .records import Record, _set
@@ -25,11 +26,11 @@ _TOO_MANY_DIGITS = 10**_MAX_DIGITS
 
 def as_fraction(v: object) -> Fraction:
     """v as an exact Fraction.  Raises ValueError when it is not one: a
-    float is refused rather than rounded, and a bool rather than read as 0
-    or 1.  A string whose numerator or denominator could need more than
-    _MAX_DIGITS digits is refused before the value is built: its length
-    must not exceed that, or for a string with an exponent, the characters
-    before it plus the exponent's size."""
+    float is refused rather than rounded, a bool rather than read as 0 or
+    1, and a Decimal NaN or infinity.  A string or Decimal whose numerator
+    or denominator could need more than _MAX_DIGITS digits is refused
+    before the value is built: its digits (a string's characters before
+    any exponent) plus its exponent's size must not exceed that."""
     if isinstance(v, str):
         digits = len(v)
         if "e" in v or "E" in v:
@@ -43,7 +44,13 @@ def as_fraction(v: object) -> Fraction:
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r}") from None
-    if isinstance(v, (bool, float)):
+    if isinstance(v, Decimal):
+        if not v.is_finite():
+            raise ValueError(f"Decimal {v} is not a finite value")
+        t = v.as_tuple()
+        if len(t.digits) + abs(t.exponent) > _MAX_DIGITS:
+            raise ValueError(f"Decimal has more than {_MAX_DIGITS} digits")
+    elif isinstance(v, (bool, float)):
         raise ValueError(
             f"{type(v).__name__} {v!r} is not exact; "
             "use a Fraction, an int or a fraction string"

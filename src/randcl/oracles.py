@@ -431,21 +431,23 @@ def fo_definable_closure(r: Randomization, params: ParamSet) -> list[RandomEleme
         return []
     per_group = _group_restrictions(r, elems, groups)
     # the parameters are resolved once, and each candidate runs only
-    # fo_definable_on's own rule, on places read from its choice (see
-    # _places): under DLO a group is one atom, and its restriction of rank
-    # k has place 2k there; under an enumerated domain the restriction to
-    # constant v has place v on each atom of its group.  Only the
-    # accepted choices are built into elements.
+    # fo_definable_on's own rule, on its type rows with the parameters:
+    # on each group, the parameters' row there (a group lies inside one
+    # type group) and then k, for the restriction of rank k under DLO or
+    # the constant k under an enumerated domain.  Only the accepted
+    # choices become elements.
     top, rows = r.partition.top(), _type_rows(r, tuple(elems))
-    scale = 2 if r.sig.is_dlo else 1
+    table = [
+        [rows[g[0]] + (k,) for k in range(len(p))] for g, p in zip(groups, per_group)
+    ]
     group_of = [0] * r.partition.size
     for j, g in enumerate(groups):
         for i in g:
             group_of[i] = j
     accepted = [
-        [per_group[j][k] for j, k in enumerate(choice)]
-        for choice in itertools.product(*(range(len(p)) for p in per_group))
-        if _fo_definable_on(r, top, rows, [scale * choice[j] for j in group_of])
+        [per_group[j][row[-1]] for j, row in enumerate(choice)]
+        for choice in itertools.product(*table)
+        if _fo_definable_on(r, top, list(map(choice.__getitem__, group_of)))
     ]
     return list(_assemble(r, groups, accepted))
 

@@ -77,8 +77,8 @@ def _element_texts(elems: Sequence[RandomElement]) -> list[str]:
 class Randomization(Record):
     """A theory, a weighted partition, and named random elements.
 
-    _last_type_rows is _type_rows's memo, one (elements, rows) pair or
-    None, left out of == and repr.
+    _last_type_rows is _type_rows's memo, its last two (elements, rows)
+    pairs, newest first, left out of == and repr.
     """
 
     __slots__ = ("sig", "partition", "elements", "_last_type_rows")
@@ -96,7 +96,7 @@ class Randomization(Record):
         _set(self, "sig", sig)
         _set(self, "partition", partition)
         _set(self, "elements", elements)
-        _set(self, "_last_type_rows", None)
+        _set(self, "_last_type_rows", ())
 
     @classmethod
     def build(
@@ -204,20 +204,23 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     """oracles.type_key of the elements' values on each atom, computed once
     per distinct tuple of their integer columns (see _int_columns).
 
-    The deciders evaluate thousands of formulas over one element tuple, so
-    r keeps the rows of the last tuple asked for.  Elements are immutable,
-    so an equal tuple has the same rows.
+    The deciders evaluate thousands of formulas over one element tuple and
+    alternate between the parameters and (parameters, element), so r keeps
+    the rows of the last two tuples built.  A kept tuple matches an equal
+    one that ends in the same element object: elements are immutable, and
+    the identity test skips comparing the values of the element tested.
     """
     if not elems:
         return [()] * r.partition.size
     kept = r._last_type_rows
-    if kept is not None and kept[0] == elems:
-        return kept[1]
+    for tup, tup_rows in kept:
+        if tup[-1] is elems[-1] and tup == elems:
+            return tup_rows
     rows = list(zip(*_int_columns(r.sig, elems)))
     if r.sig.is_dlo:
         key = {t: _dense_ranks(t) for t in set(rows)}
         rows = list(map(key.__getitem__, rows))
-    _set(r, "_last_type_rows", (elems, rows))
+    _set(r, "_last_type_rows", ((elems, rows), *kept[:1]))
     return rows
 
 

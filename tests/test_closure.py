@@ -26,8 +26,11 @@ from randcl import (
     pointwise_max,
     pointwise_min,
 )
+from randcl import randvar
+from randcl.algebra import _resolve_params
 from randcl.checks import isolating_event_algebra, random_instance, sample_params
 from randcl.oracles import _if_less_closure_naive
+from randcl.records import _set
 
 
 def values(elems) -> set:
@@ -174,6 +177,31 @@ def test_report_agreement(swap_pair, coin):
     ):
         report = definability_report(r, name, A)
         assert report.agree, report.paths
+
+
+def test_a_report_builds_type_rows_twice(monkeypatch):
+    # every decider reads the type rows of the parameters or of
+    # (parameters, element), and the Randomization keeps both, so a report
+    # builds each once; each build stores its rows in the memo
+    built = []
+
+    def counting_set(obj, name, value):
+        if name == "_last_type_rows" and value:
+            built.append(value[0][0])
+        _set(obj, name, value)
+
+    monkeypatch.setattr(randvar, "_set", counting_set)
+    rng = random.Random(0)
+    for _ in range(40):
+        r = random_instance(rng, "dlo")
+        names = list(r.elements)
+        A = rng.sample(names, rng.randint(1, 3))
+        b = r.element(rng.choice(names))
+        built.clear()
+        definability_report(r, b, A)
+        elems = tuple(_resolve_params(r, A))
+        assert len(built) == 2
+        assert set(built) == {elems, (*elems, b)}
 
 
 # ---------------------------------------------------------------------------

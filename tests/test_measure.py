@@ -106,8 +106,8 @@ def test_exact_weights_accepted_in_every_form():
 
 
 # values the one converter, measure.as_fraction, must refuse, reached
-# directly, as a weight and as a DLO value; the exponent strings would
-# take seconds to minutes to build
+# directly, as a weight and as a DLO value; the exponent strings and
+# Decimals would take seconds to minutes to build
 REFUSED = [
     "as_fraction('1e20000000')",
     "as_fraction('1e-3000000')",
@@ -117,6 +117,13 @@ REFUSED = [
     "RandomElement(DLO, HALVES, ['1e-3000000', '0'])",
     "as_fraction('1/0')",
     "as_fraction(True)",
+    "as_fraction(Decimal('1e300000'))",
+    "as_fraction(Decimal('1e-300000'))",
+    "Partition([('w1', Decimal('1e20000000')), ('w2', '1/2')])",
+    "RandomElement(DLO, HALVES, [Decimal('1e20000000'), '0'])",
+    "as_fraction(Decimal('NaN'))",
+    "as_fraction(Decimal('Infinity'))",
+    "as_fraction(Decimal('-Infinity'))",
 ]
 
 
@@ -125,6 +132,7 @@ def test_converter_refuses_at_once(expr):
     # a fresh process with a time cap, so a value that is built after all
     # fails the test instead of hanging the suite
     code = (
+        "from decimal import Decimal\n"
         "from randcl import DLO, Partition, RandomElement\n"
         "from randcl.measure import as_fraction\n"
         "HALVES = Partition([('w1', '1/2'), ('w2', '1/2')])\n"

@@ -268,9 +268,13 @@ def test_readme_module_list_names_every_module_once():
 @pytest.mark.parametrize("command", ["check", "help"])
 def test_the_program_does_not_import_cli_again(command):
     # python -m randcl.cli runs cli as __main__, so a module that imported
-    # randcl.cli would compile it a second time
+    # randcl.cli would compile it a second time; run() leaves through
+    # os._exit, which here raises SystemExit so the check can follow
     code = (
-        "import runpy, sys\n"
+        "import os, runpy, sys\n"
+        "def _exit(code):\n"
+        "    raise SystemExit(code)\n"
+        "os._exit = _exit\n"
         "try:\n"
         "    runpy.run_module('randcl.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit:\n"

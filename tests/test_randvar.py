@@ -49,7 +49,6 @@ from randcl import (
     transport_elem,
     witness,
 )
-from randcl.algebra import _places
 from randcl.checks import perturb_element, random_formula, random_instance
 from randcl.oracles import definable_in_model, type_key
 from randcl.randvar import _exact_keys, _int_columns, _type_rows
@@ -454,7 +453,7 @@ def test_transport_preserves_elem_dist(swap_pair):
 # that compare as the values do: under DLO floor(v * 2**k), k the largest
 # of the elements' own widths (twice the bit length of an element's largest
 # denominator, at least 64); under an enumerated domain the values.
-# _type_rows, algebra._places, pointwise_definable_event, differs and
+# _type_rows, pointwise_definable_event, differs and
 # witness compare those integers.  Each is checked against a reference on
 # the values themselves, on instances with mixed denominators and with
 # elements built through the public constructor from values no file holds:
@@ -509,8 +508,11 @@ def _tuple(rng: random.Random, r: Randomization) -> tuple[RandomElement, ...]:
 
 
 def _places_reference(r, elems, b) -> list:
-    """_places on the values: b's rank among the parameters' distinct
-    values doubled, or the gap above the highest one below it."""
+    """b's place among the parameters on each atom, on the values: b's
+    rank among the parameters' distinct values doubled, or the gap above
+    the highest one below it, -1 below them all; so the places are even
+    exactly where some parameter pins b.  Under an enumerated domain,
+    b's values."""
     if not r.sig.is_dlo:
         return list(b.values)
     out = []
@@ -544,7 +546,12 @@ def test_places_match_value_reference(seed):
     r = _instance(rng)
     elems = list(_tuple(rng, r))[: rng.randint(0, 3)]
     b = rng.choice(list(r.elements.values()))
-    assert _places(r, elems, b) == _places_reference(r, elems, b)
+    event = pointwise_definable_event(r, b, elems)
+    if not r.sig.is_dlo:
+        assert event.is_top()
+        return
+    places = _places_reference(r, elems, b)
+    assert event.members == {i for i, p in enumerate(places) if p % 2 == 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -702,13 +709,14 @@ def test_coprime_denominators_stay_cheap():
     start = time.process_time()
     columns = _int_columns(DLO, (a, b, c))
     rows = _type_rows(r, (a, b, c))
-    places = _places(r, [a, b], c)
+    pinned = pointwise_definable_event(r, c, [a, b])
     apart = differs(a, c)
     w = witness(r, parse("b < t & t < a"), "t", {"a": "a", "b": "b"})
     assert time.process_time() - start < 5.0
     # the ints are floor(v * 2**64): for these values in [0, 1], 65 bits
     assert max(k.bit_length() for col in columns for k in col) <= 65
     assert rows == [type_key(DLO, t) for t in zip(a.values, b.values, c.values)]
-    assert places == _places_reference(r, [a, b], c)
+    places = _places_reference(r, [a, b], c)
+    assert pinned.members == {i for i, p in enumerate(places) if p % 2 == 0}
     assert apart.members == {i for i in range(n) if i % 3 != 1}  # c = a at 1 mod 3
     assert w.values == tuple((x + y) / 2 for x, y in zip(a.values, b.values))

@@ -187,7 +187,7 @@ def test_derived_state_is_left_out_of_eq_and_repr():
     elem = _element()
     r1 = Randomization(DLO, elem.partition, {"a": elem})
     r2 = Randomization(DLO, elem.partition, {"a": elem})
-    object.__setattr__(r2, "_last_type_rows", ((elem,), [(0,), (0,)]))
+    object.__setattr__(r2, "_last_type_rows", (((elem,), [(0,), (0,)]),))
     assert r1 == r2
     assert repr(r1) == repr(r2)
     assert "_last_type_rows" not in repr(r2)
