@@ -12,9 +12,9 @@ package loads no submodule: each exported name (PEP 562) and each
 submodule is imported on first use.  The submodules are cut along the
 requests' routes, so that a subcommand compiles only modules whose code
 it runs (README.md maps them): records, measure, randvar and randfile
-for every request; formula and theory for those that read a formula;
-witnesses, algebra and closure for their subcommands; oracles and checks
-for the cross-checks alone.
+for every request; formula for those that read a formula; witnesses,
+algebra and closure for their subcommands; checks, with the reference
+routes, for the cross-checks alone.
 """
 
 import importlib
@@ -26,11 +26,10 @@ _EXPORTS = {
     "records": ("DLO", "Signature", "finite_enum"),
     "formula": (
         "Atom", "And", "Const", "Exists", "Falsity", "Forall", "Formula", "Iff",
-        "Implies", "Not", "Or", "ParseError", "Truth", "Var", "free_vars",
-        "is_quantifier_free", "parse", "to_text",
+        "Implies", "Not", "Or", "ParseError", "Truth", "Var", "eval_qf",
+        "free_vars", "is_quantifier_free", "parse", "qe", "to_text",
     ),
-    "theory": ("eval_qf", "qe"),
-    "oracles": (
+    "checks": (
         "check_signature", "definable_in_model", "eval_direct", "evaluate",
         "fo_definable_closure", "generated_algebra", "if_less", "if_less_closure",
         "indicator", "is_functional", "is_valid", "isolating_formulas",

@@ -124,7 +124,7 @@ def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
 # Every request is a fresh process that compiles each module it imports, so
 # a handler imports the modules only it runs (formula, witnesses, algebra,
 # closure, checks): dist and glue load none of them, and eval_event
-# imports theory itself.
+# imports formula itself.
 
 def _cmd_eval(args) -> int:
     from .formula import parse

@@ -14,7 +14,7 @@ element through the type rows of (parameters, element), which a report
 builds once, as it does the parameters' own (randvar._type_rows).  The
 type groups, the pointwise event and the closure enumeration they build
 on are in algebra, and the reference enumerations the cross-checks
-compare these with in oracles.
+compare these with in checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .algebra import (
     _resolve_params,
     pointwise_definable_event,
 )
-from .formula import Atom, Const, Exists, Formula, Var
+from .formula import Atom, Const, Exists, Formula, Var, conj_all
 from .measure import Event, complement
 from .randvar import (
     RandomElement,
@@ -41,7 +41,6 @@ from .randvar import (
     eval_event,
 )
 from .records import Record, Signature, Value, _set
-from .theory import conj_all
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +53,12 @@ def isolating_vars(n: int) -> list[str]:
 
 
 def isolating_formula(sig: Signature, key: Sequence[Value]) -> Formula:
-    """The member of oracles.isolating_formulas(sig, len(key)) satisfied by
-    every tuple whose oracles.type_key is key.
+    """The member of checks.isolating_formulas(sig, len(key)) satisfied by
+    every tuple whose checks.type_key is key.
 
     For a dense linear order the variables are sorted by (rank, index) and
     chained with < between ranks and = inside one, which is the
-    representative oracles._isolating_dlo builds for that weak ordering; for
+    representative checks._isolating_dlo builds for that weak ordering; for
     FiniteEnum each vi is pinned to its constant.
     """
     if not sig.is_dlo:

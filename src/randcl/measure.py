@@ -6,7 +6,7 @@ complement.  An exact value that is not yet a Fraction (a weight, a DLO
 value, a fraction string of a file) enters through as_fraction, which
 counts a string's digits before it builds the value.  Everything
 downstream (event distance here, the parameters' event algebras in
-algebra, refinement in oracles) stays in exact arithmetic.
+algebra, refinement in checks) stays in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class Event(Record):
             set(map(type, members)) != {int} or min(members) < 0 or max(members) >= size
         ):
             for i in members:
-                if not isinstance(i, int) or not 0 <= i < size:
+                if type(i) is not int or not 0 <= i < size:
                     raise ValueError(f"atom index {i!r} out of range")
         _set(self, "partition", partition)
         _set(self, "members", members)

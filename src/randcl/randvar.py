@@ -5,7 +5,7 @@ atom (rationals for DLO, 0..n-1 for FiniteEnum).  This module evaluates
 formula events per type of the bound values, measures the distance
 between elements and glues two elements along an event.  The witness
 builder is in witnesses; the other pointwise combinators (indicator,
-if_less, min, max) are in oracles.
+if_less, min, max) are in checks.
 """
 
 from __future__ import annotations
@@ -195,13 +195,13 @@ def _int_columns(
 
 
 def _dense_ranks(t: tuple[int, ...]) -> tuple[int, ...]:
-    """oracles.type_key of a DLO tuple, for values held as ints that
+    """checks.type_key of a DLO tuple, for values held as ints that
     compare as they do."""
     return tuple(map(sorted(set(t)).index, t))
 
 
 def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple]:
-    """oracles.type_key of the elements' values on each atom, computed once
+    """checks.type_key of the elements' values on each atom, computed once
     per distinct tuple of their integer columns (see _int_columns).
 
     The deciders evaluate thousands of formulas over one element tuple and
@@ -230,7 +230,7 @@ def _per_type(
     """decide's answer on each atom, in atom order.
 
     What a formula says about the bound elements on an atom depends only
-    on the type of their value tuple there (oracles.type_key), so decide is
+    on the type of their value tuple there (checks.type_key), so decide is
     called once per distinct type, on the type key itself, given as the
     assignment of each bound variable to its entry.
     """
@@ -252,10 +252,10 @@ def eval_event(
 
     f is decided once per type of the bound values (see _per_type), by
     eval_qf on qe(f) in either theory.  A symbol outside the signature
-    raises before an unbound variable does.  theory (and formula) is
-    imported here, so a request that evaluates no formula compiles neither.
+    raises before an unbound variable does.  formula is imported here, so
+    a request that evaluates no formula does not compile it.
     """
-    from .theory import _check_assignment, eval_qf, qe
+    from .formula import _check_assignment, eval_qf, qe
 
     decide = partial(eval_qf, qe(f, r.sig))
     bound = {v: _resolve(r, p) for v, p in binding.items()}

@@ -11,7 +11,16 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import partial
 
-from .formula import Atom, Const, Exists, Formula, subformulas
+from .formula import (
+    Atom,
+    Const,
+    Exists,
+    Formula,
+    _check_assignment,
+    eval_qf,
+    qe,
+    subformulas,
+)
 from .measure import _MAX_DIGITS, _TOO_MANY_DIGITS
 from .randvar import (
     RandomElement,
@@ -21,7 +30,6 @@ from .randvar import (
     _resolve,
 )
 from .records import Value
-from .theory import _check_assignment, eval_qf, qe
 
 
 def witness(
@@ -47,7 +55,7 @@ def witness(
     denominator can have twice the digits of the values around it.
 
     Which regions satisfy depends only on the type of the bound values
-    (oracles.type_key), so it is decided once per type that occurs; each
+    (checks.type_key), so it is decided once per type that occurs; each
     atom then only does the arithmetic of its own values.
     """
     g = qe(theta, r.sig)

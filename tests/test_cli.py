@@ -381,9 +381,9 @@ def test_lcl_under_an_enumerated_domain_names_a_bad_parameter_first(
 
 def test_lcl_is_checked_against_an_independent_route():
     # lcl prints the definable closure; acceptance 2 and the closure-routes
-    # check compare that with the partition refinement in oracles, which
+    # check compare that with the partition refinement in checks, which
     # must stay a second algorithm
-    assert randcl.if_less_closure.__module__ == "randcl.oracles"
+    assert randcl.if_less_closure.__module__ == "randcl.checks"
     assert randcl.if_less_closure is not randcl.definable_closure
 
 

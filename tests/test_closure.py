@@ -28,8 +28,12 @@ from randcl import (
 )
 from randcl import randvar
 from randcl.algebra import _resolve_params
-from randcl.checks import isolating_event_algebra, random_instance, sample_params
-from randcl.oracles import _if_less_closure_naive
+from randcl.checks import (
+    _if_less_closure_naive,
+    isolating_event_algebra,
+    random_instance,
+    sample_params,
+)
 from randcl.records import _set
 
 

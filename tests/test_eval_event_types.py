@@ -21,8 +21,7 @@ from randcl import (
     free_vars,
     parse,
 )
-from randcl.checks import random_formula
-from randcl.oracles import type_key
+from randcl.checks import random_formula, type_key
 
 VARS = ("p", "q", "s")
 

@@ -152,7 +152,9 @@ def test_event_accepts_names_and_indices(halves):
         halves.event(["nope"])
 
 
-@pytest.mark.parametrize("bad", [-1, 3, "w1", 0.5], ids=repr)
+# True == 1, but a bool is no atom index, as it is no value for
+# as_fraction or RandomElement
+@pytest.mark.parametrize("bad", [-1, 3, "w1", 0.5, True], ids=repr)
 def test_event_refuses_a_bad_index_and_names_it(thirds, bad):
     with pytest.raises(ValueError) as exc:
         Event(thirds, [0, bad, 2])

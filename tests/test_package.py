@@ -39,6 +39,29 @@ def test_no_unbounded_memo():
         assert not unbounded.search(path.read_text()), path.name
 
 
+_PACKAGE = Path(randcl.__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
+)
+def test_every_imported_name_is_read(module):
+    # no linter runs on the package: an import left behind when code moves
+    # costs every request that loads the module
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    assert sorted(imported - read) == []
+
+
 def _run(args: list[str]) -> subprocess.CompletedProcess:
     src = str(Path(randcl.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -137,7 +160,7 @@ def test_no_request_enumerates_the_isolating_formulas(command, capsys, monkeypat
     def refuse(*args):
         raise AssertionError("isolating_formulas called")
 
-    for mod in (randcl, randcl.oracles):
+    for mod in (randcl, randcl.checks):
         monkeypatch.setattr(mod, "isolating_formulas", refuse)
     code = main(REQUESTS[command])
     captured = capsys.readouterr()
@@ -201,11 +224,9 @@ _LOADED = (
 # every request compiles each module it imports, so a subcommand loads
 # exactly the modules it runs: the package and these submodules
 _EVERY = ("cli", "measure", "randfile", "randvar", "records")
-_FORMULA = (*_EVERY, "formula", "theory")
+_FORMULA = (*_EVERY, "formula")
 _ALGEBRA = (*_EVERY, "algebra")
-_CHECKS = (
-    *_FORMULA, "algebra", "checks", "closure", "oracles", "witnesses"
-)
+_CHECKS = (*_FORMULA, "algebra", "checks", "closure", "witnesses")
 LOADED = {
     "dist": _EVERY,
     "glue": _EVERY,
@@ -219,6 +240,16 @@ LOADED = {
     "check": _CHECKS,
     "fuzz": _CHECKS,
 }
+
+
+def test_no_two_modules_share_a_route():
+    # two modules that the same subcommands load would compile together on
+    # every request that compiles either, so they would be one module
+    routes: dict[frozenset[str], list[str]] = {}
+    for module in {m for modules in LOADED.values() for m in modules} - set(_EVERY):
+        by = frozenset(c for c, modules in LOADED.items() if module in modules)
+        routes.setdefault(by, []).append(module)
+    assert sorted(sorted(ms) for ms in routes.values() if len(ms) > 1) == []
 
 
 @pytest.mark.parametrize("command", sorted(REQUESTS))

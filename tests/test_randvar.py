@@ -49,8 +49,13 @@ from randcl import (
     transport_elem,
     witness,
 )
-from randcl.checks import perturb_element, random_formula, random_instance
-from randcl.oracles import definable_in_model, type_key
+from randcl.checks import (
+    definable_in_model,
+    perturb_element,
+    random_formula,
+    random_instance,
+    type_key,
+)
 from randcl.randvar import _exact_keys, _int_columns, _type_rows
 
 HALF = Fraction(1, 2)

@@ -36,8 +36,14 @@ from randcl import (
 )
 from randcl import algebra
 from randcl.algebra import _resolve_params
-from randcl.checks import corpus, perturb_element, random_instance, sample_params
-from randcl.oracles import _if_less_closure_naive, type_key
+from randcl.checks import (
+    _if_less_closure_naive,
+    corpus,
+    perturb_element,
+    random_instance,
+    sample_params,
+    type_key,
+)
 
 CORPUS_SEED = 20260817  # the acceptance corpus
 

@@ -32,7 +32,7 @@ from randcl import (
     pointwise_min,
 )
 from randcl import closure
-from randcl.checks import corpus, isolating_event_algebra, random_instance
+from randcl.checks import corpus, isolating_event_algebra, random_instance, type_key
 from randcl.cli import main
 from randcl.algebra import fo_event_algebra
 from randcl.closure import (
@@ -43,8 +43,7 @@ from randcl.closure import (
     isolating_formula,
     isolating_vars,
 )
-from randcl.oracles import type_key
-from randcl.theory import eval_qf
+from randcl.formula import eval_qf
 
 # ---------------------------------------------------------------------------
 # full-enumeration references

@@ -33,17 +33,18 @@ from randcl import (
     parse,
     substitute,
 )
-from randcl.checks import _DLO_VALUES, random_formula
-from randcl.oracles import (
+from randcl.checks import (
+    _DLO_VALUES,
     definable_in_model,
     eval_direct,
     evaluate,
     is_functional,
     is_valid,
     isolating_formulas,
+    random_formula,
     universal_closure,
 )
-from randcl.theory import eval_qf, qe
+from randcl.formula import eval_qf, qe
 
 E2 = finite_enum(2)
 E3 = finite_enum(3)
@@ -110,19 +111,19 @@ def test_qe_probes_above_every_term(k):
 
 
 def test_qe_of_a_tree_over_eliminated_parts_eliminates_nothing(monkeypatch):
-    import randcl.theory
+    import randcl.formula
 
     f = parse("exists u. a < u & u < b")
     g = parse("forall v. v < a | b < v | v = c")
     qf, qg = qe(f), qe(g)
     calls = []
-    eliminate = randcl.theory._eliminate
+    eliminate = randcl.formula._eliminate
 
     def counted(*args):
         calls.append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(randcl.theory, "_eliminate", counted)
+    monkeypatch.setattr(randcl.formula, "_eliminate", counted)
     assert qe(And(f, g)) == And(qf, qg)
     assert qe(Not(f)) == Not(qf)
     assert calls == []
