@@ -1,22 +1,11 @@
-"""Command-line front end.
-
-Subcommands::
-
-    eval FILE "FORMULA"      event of a formula over named elements
-    dclb FILE [PARAM...]     atoms of the parameter-definable event algebra
-    dcl FILE [PARAM...]      enumerate the definable closure
-    lcl FILE [PARAM...]      if_less closure, equal to dcl's (ordered only)
-    isdef FILE ELEM [PARAM...]   run all definability deciders
-    pointwise FILE ELEM [PARAM...]  pointwise-definability event
-    dist FILE X Y            distance between elements, or between events
-    glue FILE A B EVENT      element agreeing with A on EVENT, with B off it
-    witness FILE "FORMULA" VAR   deterministic witness element
-    check FILE               full cross-check suite on one instance
-    fuzz [--count N] [--seed S]  random instances through every cross-check
+"""Command-line front end: the randcl program.  _commands() lists each
+subcommand with its help text and arguments, as ``randcl --help`` shows
+them.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
 (including a formula nested past the recursion limit), 3 invariant
-violation or internal error.
+violation or internal error, 120 standard output closed before the
+answer was written.
 
 The recursion limit bounds a formula's size: under Python 3.11's default
 limit, the largest eval formula that answers has 985 &-conjuncts, 984
@@ -34,14 +23,7 @@ from types import SimpleNamespace
 
 from .measure import Event, event_dist
 from .randfile import _values_payloads, load
-from .randvar import (
-    RandomElement,
-    Randomization,
-    _element_texts,
-    elem_dist,
-    eval_event,
-    glue,
-)
+from .randvar import RandomElement, Randomization, elem_dist, eval_event, glue
 
 # ---------------------------------------------------------------------------
 # output helpers
@@ -55,24 +37,31 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
+# Python's own exit code for a failed flush at exit, which no answer uses
+_CLOSED = 120
+
+
+def _stdout_closed() -> int:
+    print("error: standard output closed before the answer was written", file=sys.stderr)
+    return _CLOSED
+
+
 def _event_payload(e: Event) -> list[str]:
     names = e.partition.names
     return [names[i] for i in sorted(e.members)]
 
 
-def _emit_event(args, ev: Event) -> None:
+def _event_output(args, ev: Event) -> tuple[list[str], dict]:
     # the payload lists every member atom: build it only when it is printed
     if args.format == "structured":
-        _emit(args, [], {"event": _event_payload(ev), "probability": str(ev.prob)})
-    else:
-        _emit(args, [f"{ev}, probability = {ev.prob}"], {})
+        return [], {"event": _event_payload(ev), "probability": str(ev.prob)}
+    return [f"{ev}, probability = {ev.prob}"], {}
 
 
-def _emit_element(args, e: RandomElement) -> None:
+def _element_output(args, e: RandomElement) -> tuple[list[str], dict]:
     if args.format == "structured":
-        _emit(args, [], {"values": _values_payloads([e])[0]})
-    else:
-        _emit(args, [str(e)], {})
+        return [], {"values": _values_payloads([e])[0]}
+    return [str(e)], {}
 
 
 def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
@@ -94,8 +83,7 @@ def _element_lines(r: Randomization, args, elems) -> tuple[list[str], dict]:
         ]
         return [], {"count": len(elems), "elements": payload}
     lines = [f"{len(elems)} elements:"]
-    texts = _element_texts(elems)
-    lines += [f"  {n} = {t}" if n else f"  {t}" for n, t in zip(names, texts)]
+    lines += [f"  {n} = {e}" if n else f"  {e}" for n, e in zip(names, elems)]
     return lines, {}
 
 
@@ -121,109 +109,94 @@ def _identity_binding(f, skip: tuple[str, ...] = ()) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-# Every request is a fresh process that compiles each module it imports, so
-# a handler imports the modules only it runs (formula, witnesses, algebra,
+# Each handler returns its exit code, text lines and structured payload,
+# and main has _emit, the only writer to stdout, print one of them.  Every
+# request is a fresh process that compiles each module it imports, so a
+# handler imports the modules only it runs (formula, witnesses, algebra,
 # closure, checks): dist and glue load none of them, and eval_event
 # imports formula itself.
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, list[str], dict]:
     from .formula import parse
 
     r = load(args.file)
     f = parse(args.formula, r.sig)
-    _emit_event(args, eval_event(r, f, _identity_binding(f)))
-    return 0
+    return 0, *_event_output(args, eval_event(r, f, _identity_binding(f)))
 
 
-def _cmd_dclb(args) -> int:
+def _cmd_dclb(args) -> tuple[int, list[str], dict]:
     from .algebra import fo_event_algebra
 
     r = load(args.file)
     alg = fo_event_algebra(r, args.params)
     if args.format == "structured":
-        _emit(args, [], {"atoms": [_event_payload(e) for e in alg.atoms]})
-    else:
-        text = f"{len(alg.atoms)} atoms: " + ", ".join(str(e) for e in alg.atoms)
-        _emit(args, [text], {})
-    return 0
+        return 0, [], {"atoms": [_event_payload(e) for e in alg.atoms]}
+    text = f"{len(alg.atoms)} atoms: " + ", ".join(str(e) for e in alg.atoms)
+    return 0, [text], {}
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple[int, list[str], dict]:
     from .algebra import _resolve_params, definable_closure
 
     r = load(args.file)
     if args.command == "lcl" and not r.sig.is_dlo:
         _resolve_params(r, args.params)  # a bad parameter is named first
         raise ValueError("if_less closure needs an ordered theory")
-    lines, payload = _element_lines(r, args, definable_closure(r, args.params))
-    _emit(args, lines, payload)
-    return 0
+    return 0, *_element_lines(r, args, definable_closure(r, args.params))
 
 
-def _cmd_isdef(args) -> int:
+def _cmd_isdef(args) -> tuple[int, list[str], dict]:
     from .closure import definability_report
 
     r = load(args.file)
     report = definability_report(r, args.element, args.params)
     lines = [f"{path}: {str(ok).lower()}" for path, ok in report.paths.items()]
     lines.append(f"verdict: {str(report.verdict).lower()}")
-    payload = {
-        "paths": report.paths,
-        "verdict": report.verdict,
-        "agree": report.agree,
-    }
-    _emit(args, lines, payload)
+    payload = {"paths": report.paths, "verdict": report.verdict, "agree": report.agree}
     if not report.agree:
         print("invariant violation: decider paths disagree", file=sys.stderr)
-        return 3
-    return 0 if report.verdict else 1
+        return 3, lines, payload
+    return 0 if report.verdict else 1, lines, payload
 
 
-def _cmd_pointwise(args) -> int:
+def _cmd_pointwise(args) -> tuple[int, list[str], dict]:
     from .algebra import pointwise_definable_event
 
     r = load(args.file)
     ev = pointwise_definable_event(r, args.element, args.params)
-    _emit_event(args, ev)
-    return 0 if ev.is_top() else 1
+    return 0 if ev.is_top() else 1, *_event_output(args, ev)
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> tuple[int, list[str], dict]:
     r = load(args.file)
     if args.x in r.elements and args.y in r.elements:
         d = elem_dist(r.element(args.x), r.element(args.y))
     else:
         d = event_dist(_parse_event(r, args.x), _parse_event(r, args.y))
-    _emit(args, [str(d)], {"distance": str(d)})
-    return 0
+    return 0, [str(d)], {"distance": str(d)}
 
 
-def _cmd_glue(args) -> int:
+def _cmd_glue(args) -> tuple[int, list[str], dict]:
     r = load(args.file)
     c = glue(r.element(args.a), r.element(args.b), _parse_event(r, args.event))
-    _emit_element(args, c)
-    return 0
+    return 0, *_element_output(args, c)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, list[str], dict]:
     from .formula import parse
     from .witnesses import witness
 
     r = load(args.file)
     theta = parse(args.formula, r.sig)
     w = witness(r, theta, args.var, _identity_binding(theta, skip=(args.var,)))
-    _emit_element(args, w)
-    return 0
+    return 0, *_element_output(args, w)
 
 
-def _cmd_checks(args) -> int:
-    """check and fuzz: their handlers are in checks, with the suite they
-    run, and return the exit code with the output to print."""
+def _cmd_checks(args) -> tuple[int, list[str], dict]:
+    """check and fuzz: their handlers are in checks, with the suite they run."""
     from . import checks
 
-    code, lines, payload = getattr(checks, f"_cmd_{args.command}")(args)
-    _emit(args, lines, payload)
-    return code
+    return getattr(checks, f"_cmd_{args.command}")(args)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +317,11 @@ def main(argv=None) -> int:
 
         args = build_parser(_commands()).parse_args(argv)
     try:
-        return args.handler(args)
+        code, lines, payload = args.handler(args)
+        _emit(args, lines, payload)
+        return code
+    except BrokenPipeError:  # only _emit writes to a pipe
+        return _stdout_closed()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -367,14 +344,18 @@ def run() -> None:
     100k net allocations.  Once main returns, stdout and stderr are
     flushed and the process leaves through os._exit, skipping the
     interpreter's teardown, whose collections walk every object still
-    alive; randcl registers no exit handler.  A flush that raises (a
-    closed pipe, say) leaves through sys.exit instead, so the interpreter
-    reports it as it always has."""
+    alive; randcl registers no exit handler.  A stdout that closed before
+    the flush exits 120 with one line, as in main.  Any other flush that
+    raises leaves through sys.exit, so the interpreter reports it as it
+    always has."""
     gc.set_threshold(100_000)
     code = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        if code != _CLOSED:  # else main has reported it
+            code = _stdout_closed()
     except Exception:
         sys.exit(code)
     os._exit(code)

@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .measure import _MAX_DIGITS, Partition, as_fraction
-from .randvar import RandomElement, Randomization, _value_texts
+from .randvar import RandomElement, Randomization
 from .records import DLO, Signature, finite_enum
 
 _ENUM_RE = re.compile(r"enum\((\d+)\)\Z")
@@ -135,7 +135,7 @@ def _values_payloads(elems: Sequence[RandomElement]) -> list[list]:
     """Each element's values as the file stores them: fraction strings under
     DLO, plain integers under an enumerated domain."""
     if elems and elems[0].sig.is_dlo:
-        return _value_texts([e.values for e in elems])
+        return [list(map(str, e.values)) for e in elems]
     return [list(e.values) for e in elems]
 
 

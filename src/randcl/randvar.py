@@ -52,28 +52,6 @@ class RandomElement(Record):
         return "(" + ", ".join(map(str, self.values)) + ")"
 
 
-def _value_texts(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
-    """str of each value of each row; each distinct value object is
-    rendered once, however many entries hold it (the loader shares one
-    object among the entries of a repeated string)."""
-    # kept: str per entry instead took the two wide lcl requests 192 -> 198 ms CPU
-    objs: dict[int, Fraction] = {}
-    for vals in rows:
-        objs.update(zip(map(id, vals), vals))
-    text = {i: str(v) for i, v in objs.items()}
-    return [list(map(text.__getitem__, map(id, vals))) for vals in rows]
-
-
-def _element_texts(elems: Sequence[RandomElement]) -> list[str]:
-    """str of each element: DLO values through _value_texts, ints as they
-    are (str of an int costs less than the lookup)."""
-    if elems and elems[0].sig.is_dlo:
-        texts: Sequence = _value_texts([e.values for e in elems])
-    else:
-        texts = [map(str, e.values) for e in elems]
-    return ["(" + ", ".join(t) + ")" for t in texts]
-
-
 class Randomization(Record):
     """A theory, a weighted partition, and named random elements.
 

@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import randcl
-from randcl.cli import _commands, main
+from randcl.cli import _commands, _plain_args, main
 from randcl.usage import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,12 +63,49 @@ def test_every_imported_name_is_read(module):
     assert sorted(imported - read) == []
 
 
-def _run(args: list[str]) -> subprocess.CompletedProcess:
+def _stdout_writers(tree: ast.Module) -> set[str]:
+    """The top-level definitions of a module (its body: "<module>") that
+    write to stdout: a print with no file or with file=sys.stdout, or any
+    use of sys.stdout but its flush."""
+    writers = set()
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        texts = [ast.unparse(n) for n in ast.walk(top) if isinstance(n, ast.expr)]
+        prints = [
+            n for n in ast.walk(top)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "print"
+            and not any(k.arg == "file" for k in n.keywords)
+        ]
+        if prints or texts.count("sys.stdout") > texts.count("sys.stdout.flush"):
+            writers.add(where)
+    return writers
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")))
+def test_only_cli_emit_writes_to_stdout(module):
+    # every handler returns its answer and main has _emit print it, so a
+    # closed stdout is met in one place and a library call prints nothing
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text())
+    assert _stdout_writers(tree) == ({"_emit"} if module == "cli" else set())
+
+
+def _env(**overrides: str | None) -> dict[str, str]:
+    """This process's environment, with the package on PYTHONPATH and each
+    override set, or removed where it is None."""
     src = str(Path(randcl.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _run(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True
+        [sys.executable, *args], env=_env(), capture_output=True, text=True
     )
 
 
@@ -180,6 +218,19 @@ ANSWERED = {
 
 
 @pytest.mark.parametrize("case", sorted(ANSWERED))
+def test_every_handler_returns_its_answer(case, capsys):
+    # a handler returns (exit code, text lines, payload) and writes
+    # nothing: main prints the answer, once, through _emit
+    args = _plain_args(ANSWERED[case])
+    answer = args.handler(args)
+    assert type(answer) is tuple
+    assert [type(part) for part in answer] == [int, list, dict]
+    code, lines, payload = answer
+    assert lines if args.format == "text" else payload
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", sorted(ANSWERED))
 def test_fresh_process_answers_as_in_process(case, capsys):
     # in process every module is loaded already, so a name that a handler
     # forgot to import would fail only for a user's fresh process
@@ -205,6 +256,43 @@ def test_fresh_process_exits_as_in_process(case, capsys):
     captured = capsys.readouterr()
     assert code != 0
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+# a stdout whose reader has gone: where the close is met first, by a print
+# in main (unbuffered, or an answer past the buffer) or by run's flush
+CLOSED = {
+    "final flush": ({"PYTHONUNBUFFERED": None}, ["dist", SWAP, "a", "b"]),
+    "unbuffered": ({"PYTHONUNBUFFERED": "1"}, ["dist", SWAP, "a", "b"]),
+    "past the buffer": (
+        {"PYTHONUNBUFFERED": None},
+        ["--format", "structured", "dcl", "ENUM", "a"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED))
+def test_a_closed_stdout_exits_120_with_one_line(case, tmp_path):
+    # 120 is Python's own code for a failed flush at exit, which no answer
+    # uses; the close is the reader's doing, not an engine fault
+    overrides, argv = CLOSED[case]
+    enum = tmp_path / "enum.json"  # a closure of 900 elements
+    atoms = [["w1", "1/2"], ["w2", "1/2"]]
+    enum.write_text(json.dumps(
+        {"theory": "enum(30)", "atoms": atoms, "elements": {"a": [0, 1]}}
+    ))
+    argv = [str(enum) if word == "ENUM" else word for word in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "randcl.cli", *argv],
+            env=_env(**overrides), stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        120, "error: standard output closed before the answer was written\n"
+    )
 
 
 def _fresh(code: str, *argv: str) -> str:
