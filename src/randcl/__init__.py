@@ -49,7 +49,7 @@ _EXPORTS = {
     "closure": (
         "DefinabilityReport", "definability_report", "fo_definable_on",
         "is_definable", "is_definable_by_isolating_events", "is_definable_by_pinning",
-        "is_pointwise_definable", "isolating_formula", "piecewise_definable",
+        "isolating_formula", "piecewise_definable",
     ),
     "randfile": ("dump", "dumps", "load", "loads"),
 }

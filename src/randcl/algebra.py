@@ -13,38 +13,23 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from operator import attrgetter
 
 from .measure import Event, _same_partition
-from .randvar import (
-    RandomElement,
-    Randomization,
-    _exact_keys,
-    _resolve,
-    _type_rows,
-)
+from .randvar import RandomElement, Randomization, _resolve, _type_rows
 from .records import Record, Value, _set
 
 Param = str | RandomElement
 ParamSet = Sequence[Param]
-_VALUES = attrgetter("values")
 
 
 def _resolve_params(r: Randomization, params: ParamSet) -> list[RandomElement]:
+    """The parameters as elements of r, in order.  A value given twice is
+    kept twice: a repeated column changes no type group, rank or closure
+    member."""
     names = [p for p in params if isinstance(p, str)]
     if len(set(names)) != len(names):
         raise ValueError("duplicate parameter name")
-    # the first element of each distinct value tuple, by a hash key that
-    # equal values share: the values under an enumerated domain, the kept
-    # (k, keys) under DLO (hashing a Fraction runs Python code).  An element
-    # given twice gives the same key object, which a dict matches by
-    # identity before comparing entries
-    key_of = _exact_keys if r.sig.is_dlo else _VALUES
-    out: dict[tuple, RandomElement] = {}
-    for p in params:
-        e = _resolve(r, p)
-        out.setdefault(key_of(e), e)
-    return list(out.values())
+    return [_resolve(r, p) for p in params]
 
 
 # ---------------------------------------------------------------------------

@@ -344,12 +344,16 @@ def run() -> None:
     100k net allocations.  Once main returns, stdout and stderr are
     flushed and the process leaves through os._exit, skipping the
     interpreter's teardown, whose collections walk every object still
-    alive; randcl registers no exit handler.  A stdout that closed before
+    alive; randcl registers no exit handler.  argparse's exit, after help
+    or a usage error, takes the same flush.  A stdout that closed before
     the flush exits 120 with one line, as in main.  Any other flush that
     raises leaves through sys.exit, so the interpreter reports it as it
     always has."""
     gc.set_threshold(100_000)
-    code = main()
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse exits with an int status
+        code = stop.code
     try:
         sys.stdout.flush()
         sys.stderr.flush()

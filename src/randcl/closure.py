@@ -28,7 +28,6 @@ from .algebra import (
     _algebra,
     _pointwise_event,
     _resolve_params,
-    pointwise_definable_event,
 )
 from .formula import Atom, Const, Exists, Formula, Var, conj_all
 from .measure import Event, complement
@@ -149,10 +148,6 @@ def fo_definable_on(
     return _fo_definable_on(r, e, _type_rows(r, (*elems, b)))
 
 
-def is_pointwise_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
-    return pointwise_definable_event(r, elem, params).is_top()
-
-
 def is_definable(r: Randomization, elem: Param, params: ParamSet) -> bool:
     """Element definability: pointwise definable everywhere, and adjoining
     the element refines the parameter event algebra by nothing."""
@@ -241,8 +236,8 @@ def definability_report(
 ) -> DefinabilityReport:
     """Run every applicable definability decider and collect the verdicts.
 
-    The element and the parameters are resolved and deduplicated once;
-    each decider then runs its own route on them.
+    The element and the parameters are resolved once; each decider then
+    runs its own route on them.
     """
     b = _resolve(r, elem)
     elems = _resolve_params(r, params)

@@ -10,9 +10,8 @@ if_less, min, max) are in checks.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import partial
 from itertools import compress
 from operator import itemgetter, ne
 
@@ -21,8 +20,7 @@ from .records import Record, Signature, Value, _set
 
 
 class RandomElement(Record):
-    # _keys: derived from values, filled on first use by _exact_keys
-    __slots__ = ("sig", "partition", "values", "_keys")
+    __slots__ = ("sig", "partition", "values")
 
     def __init__(self, sig: Signature, partition: Partition, values: Sequence[Value]):
         vals = tuple(values)
@@ -46,7 +44,6 @@ class RandomElement(Record):
         _set(self, "sig", sig)
         _set(self, "partition", partition)
         _set(self, "values", vals)
-        _set(self, "_keys", None)
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.values)) + ")"
@@ -117,39 +114,6 @@ def _resolve(r: Randomization, p: str | RandomElement) -> RandomElement:
     return p
 
 
-# floor(v * 2**k) orders values exactly while every denominator is below
-# 2**(k // 2): two such values that differ, differ by more than 2**-k.  An
-# element's k is twice the bit length of its largest denominator, and at
-# least _KEY_BITS, so that elements whose denominators are all below 2**32
-# share one k and a tuple of them uses each element's kept keys as they are
-_KEY_BITS = 64
-
-
-def _floor_keys(
-    values: Sequence[Fraction], k: int = 0
-) -> tuple[int, tuple[int, ...]]:
-    """(k, floor(v * 2**k) for each value), k raised to the values' own
-    width when it is below it.
-
-    Each distinct value object is read once, keyed by identity (a
-    Fraction hashes in Python code, an int in C), so entries that share an
-    object, as the loader shares them, cost one conversion.
-    """
-    objs = dict(zip(map(id, values), values))
-    ratios = list(map(Fraction.as_integer_ratio, objs.values()))
-    k = max(k, _KEY_BITS, 2 * max(map(itemgetter(1), ratios)).bit_length())
-    key = dict(zip(objs, [(n << k) // d for n, d in ratios]))
-    return k, tuple(map(key.__getitem__, map(id, values)))
-
-
-def _exact_keys(e: RandomElement) -> tuple[int, tuple[int, ...]]:
-    """A DLO element's keys at its own k (see _floor_keys), kept in e._keys.
-    Equal values give equal keys at an equal k."""
-    if e._keys is None:
-        _set(e, "_keys", _floor_keys(e.values))
-    return e._keys
-
-
 def _int_columns(
     sig: Signature, elems: Sequence[RandomElement]
 ) -> list[Sequence[int]]:
@@ -157,19 +121,23 @@ def _int_columns(
     elements, exactly as the values do.
 
     Under an enumerated domain, the values.  Under DLO, each value's
-    floor(v * 2**k) at the largest k of the elements (see _floor_keys):
-    each element's kept keys, worked out again only for an element whose
-    own k is smaller.  No common denominator is formed, so the cost does
-    not grow with the number of distinct denominators.
+    floor(v * 2**k), k twice the bit length of the tuple's largest
+    denominator: two such values that differ, differ by more than 2**-k.
+    No common denominator is formed, so the cost does not grow with the
+    number of distinct denominators.  Each distinct value object is read
+    once, keyed by identity (a Fraction hashes in Python code, an int in
+    C), so entries that share an object, as the loader shares them, cost
+    one conversion.
     """
     if not sig.is_dlo:
         return [e.values for e in elems]
-    kept = list(map(_exact_keys, elems))
-    k = max(map(itemgetter(0), kept), default=0)
-    return [
-        col if bits == k else _floor_keys(e.values, k)[1]
-        for e, (bits, col) in zip(elems, kept)
-    ]
+    objs: dict[int, Fraction] = {}
+    for e in elems:
+        objs.update(zip(map(id, e.values), e.values))
+    ratios = list(map(Fraction.as_integer_ratio, objs.values()))
+    k = 2 * max(map(itemgetter(1), ratios), default=1).bit_length()
+    key = dict(zip(objs, [(n << k) // d for n, d in ratios]))
+    return [tuple(map(key.__getitem__, map(id, e.values))) for e in elems]
 
 
 def _dense_ranks(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -202,24 +170,6 @@ def _type_rows(r: Randomization, elems: tuple[RandomElement, ...]) -> list[tuple
     return rows
 
 
-def _per_type(
-    r: Randomization, bound: dict[str, RandomElement], decide: Callable
-) -> list:
-    """decide's answer on each atom, in atom order.
-
-    What a formula says about the bound elements on an atom depends only
-    on the type of their value tuple there (checks.type_key), so decide is
-    called once per distinct type, on the type key itself, given as the
-    assignment of each bound variable to its entry.
-    """
-    names = tuple(bound)
-    rows = _type_rows(r, tuple(bound.values()))
-    answers = dict.fromkeys(rows)
-    for key in answers:
-        answers[key] = decide(dict(zip(names, key)))
-    return list(map(answers.__getitem__, rows))
-
-
 def eval_event(
     r: Randomization,
     f,
@@ -228,19 +178,24 @@ def eval_event(
     """The event on which the formula f holds, with variables bound to
     elements.
 
-    f is decided once per type of the bound values (see _per_type), by
-    eval_qf on qe(f) in either theory.  A symbol outside the signature
-    raises before an unbound variable does.  formula is imported here, so
-    a request that evaluates no formula does not compile it.
+    What f says about the bound elements on an atom depends only on the
+    type of their value tuple there (checks.type_key), so f is decided
+    once per distinct type, by eval_qf on qe(f) in either theory, on the
+    type key itself, given as the assignment of each bound variable to its
+    entry.  A symbol outside the signature raises before an unbound
+    variable does.  formula is imported here, so a request that evaluates
+    no formula does not compile it.
     """
     from .formula import _check_assignment, eval_qf, qe
 
-    decide = partial(eval_qf, qe(f, r.sig))
+    g = qe(f, r.sig)
     bound = {v: _resolve(r, p) for v, p in binding.items()}
     _check_assignment(f, bound)
-    holds = _per_type(r, bound, decide)
-    members = frozenset(compress(range(len(holds)), holds))
-    return Event(r.partition, members)
+    names = tuple(bound)
+    rows = _type_rows(r, tuple(bound.values()))
+    holds = {key: eval_qf(g, dict(zip(names, key))) for key in set(rows)}
+    members = compress(range(len(rows)), map(holds.__getitem__, rows))
+    return Event(r.partition, frozenset(members))
 
 
 def _differing(a: RandomElement, b: RandomElement) -> Iterator[int]:

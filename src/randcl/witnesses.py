@@ -25,8 +25,8 @@ from .measure import _MAX_DIGITS, _TOO_MANY_DIGITS
 from .randvar import (
     RandomElement,
     Randomization,
+    _dense_ranks,
     _int_columns,
-    _per_type,
     _resolve,
 )
 from .records import Value
@@ -74,12 +74,15 @@ def witness(
         rule = partial(_enum_rule, r.sig.n, g, u)
     # each atom's bound values as ints; none bound means () on every atom
     rows = list(zip(*columns)) if columns else [()] * r.partition.size
-    # an atom's ints fix its type, so its rule: each distinct row's witness
-    # is worked out once (kept: per atom, the four wide witness requests
-    # took 495 -> 530 ms CPU)
-    value = dict(zip(rows, _per_type(r, params, rule)))
-    for row, choose in value.items():
-        w = value[row] = choose(row)
+    # an atom's ints fix its type, so its rule: each type's rule is built
+    # once, and each distinct row's witness worked out once (kept: per
+    # atom, the four wide witness requests took 495 -> 530 ms CPU); an
+    # atom's type key is its dense ranks under DLO, its values otherwise
+    keys = {row: _dense_ranks(row) if r.sig.is_dlo else row for row in set(rows)}
+    rules = {key: rule(dict(zip(params, key))) for key in set(keys.values())}
+    value: dict[tuple, Value] = {}
+    for row, key in keys.items():
+        w = value[row] = rules[key](row)
         if abs(w.numerator) >= _TOO_MANY_DIGITS or w.denominator >= _TOO_MANY_DIGITS:
             raise ValueError(f"witness value has more than {_MAX_DIGITS} digits")
     return RandomElement(r.sig, r.partition, tuple(map(value.__getitem__, rows)))

@@ -36,10 +36,10 @@ from randcl import (
     if_less_closure,
     indicator,
     is_definable,
-    is_pointwise_definable,
     is_quantifier_free,
     join,
     meet,
+    pointwise_definable_event,
     qe,
     refine,
     transport_elem,
@@ -186,7 +186,7 @@ def test_no_parameters_no_events(full_corpus, capsys):
 
 def test_pointwise_definable_gap(coin, capsys):
     r = coin
-    ok = is_pointwise_definable(r, "b", []) is True
+    ok = pointwise_definable_event(r, "b", []).is_top() is True
     ok = ok and is_definable(r, "b", []) is False
     n = r.sig.n
     assert n is not None

@@ -20,7 +20,6 @@ from randcl import (
     is_definable,
     is_definable_by_isolating_events,
     is_definable_by_pinning,
-    is_pointwise_definable,
     piecewise_definable,
     pointwise_definable_event,
     pointwise_max,
@@ -100,7 +99,6 @@ def test_pointwise_event(swap_pair):
 
 def test_pointwise_enum_always(coin):
     assert pointwise_definable_event(coin, "b", []).is_top()
-    assert is_pointwise_definable(coin, "b", [])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,7 @@ def test_isolating_events_decider(swap_pair, coin):
 
 def test_enum_gap(coin):
     # pointwise definable everywhere, yet not definable
-    assert is_pointwise_definable(coin, "b", [])
+    assert pointwise_definable_event(coin, "b", []).is_top()
     assert not is_definable(coin, "b", [])
     assert is_definable(coin, "zero", [])
     assert is_definable(coin, "one", [])

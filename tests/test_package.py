@@ -63,6 +63,33 @@ def test_every_imported_name_is_read(module):
     assert sorted(imported - read) == []
 
 
+# the per-object caches the package keeps, each documented where it is
+# set: formula's free variables and quantifier-free form of a node, and a
+# Randomization's last type rows
+_MEMOS = [("formula", "_free"), ("formula", "_qf"), ("randvar", "_last_type_rows")]
+
+
+def test_no_hidden_per_object_caches():
+    # a record's fields are set in its __init__; a _set anywhere else fills
+    # a cache on an object after it is built, so it must be one of _MEMOS
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        outside = set(ast.walk(tree)) - {
+            n
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for n in ast.walk(f)
+        }
+        found += [
+            (path.stem, call.args[1].value)
+            for call in outside
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "_set"
+            and isinstance(call.args[1], ast.Constant)
+        ]
+    assert sorted(found) == sorted(_MEMOS)
+
+
 def _stdout_writers(tree: ast.Module) -> set[str]:
     """The top-level definitions of a module (its body: "<module>") that
     write to stdout: a print with no file or with file=sys.stdout, or any
@@ -267,6 +294,7 @@ CLOSED = {
         {"PYTHONUNBUFFERED": None},
         ["--format", "structured", "dcl", "ENUM", "a"],
     ),
+    "help": ({"PYTHONUNBUFFERED": None}, ["--help"]),
 }
 
 

@@ -56,7 +56,7 @@ from randcl.checks import (
     random_instance,
     type_key,
 )
-from randcl.randvar import _exact_keys, _int_columns, _type_rows
+from randcl.randvar import _int_columns, _type_rows
 
 HALF = Fraction(1, 2)
 
@@ -455,16 +455,16 @@ def test_transport_preserves_elem_dist(swap_pair):
 # the integer core
 # ---------------------------------------------------------------------------
 # randvar._int_columns gives the values of a tuple of elements as integers
-# that compare as the values do: under DLO floor(v * 2**k), k the largest
-# of the elements' own widths (twice the bit length of an element's largest
-# denominator, at least 64); under an enumerated domain the values.
+# that compare as the values do: under DLO floor(v * 2**k), k twice the
+# bit length of the tuple's largest denominator; under an enumerated
+# domain the values.
 # _type_rows, pointwise_definable_event, differs and
 # witness compare those integers.  Each is checked against a reference on
 # the values themselves, on instances with mixed denominators and with
 # elements built through the public constructor from values no file holds:
 # ints, equal values held in separate Fraction objects, the +1/3 of
 # checks.perturb_element, and, in some instances, a value 2**-70 above
-# another, whose key at k = 64 would tie with it.
+# another, whose key would tie with it at the k of the other values.
 
 _DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -607,16 +607,6 @@ def test_element_text_renders_each_value(seed):
         assert str(e) == "(" + ", ".join(str(v) for v in e.values) + ")"
 
 
-def test_integer_keys_are_derived_state(swap_pair):
-    # the keys an element keeps stay out of ==, hash and repr
-    a = swap_pair.element("a")
-    fresh = RandomElement(DLO, swap_pair.partition, a.values)
-    differs(a, swap_pair.element("b"))  # fills a's keys, not fresh's
-    assert a._keys is not None and fresh._keys is None
-    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
-    assert "_keys" not in repr(a)
-
-
 def _assert_compare_as_values(elems) -> None:
     # the columns order and equate, atom by atom and across the elements,
     # exactly as the values do
@@ -628,15 +618,13 @@ def _assert_compare_as_values(elems) -> None:
 
 
 def test_large_denominators_compare_exactly():
-    # at k = 64 the keys of v and v + 2**-70 tie; an element holding the
-    # larger denominator keys at its own, larger k, and a tuple keys every
-    # element at the largest k among them
+    # at k = 64 the keys of v and v + 2**-70 tie; a tuple holding the
+    # larger denominator keys every value at the k that denominator needs
     part = Partition([("w1", "1/3"), ("w2", "1/3"), ("w3", "1/3")])
     v = Fraction(1, 3)
     close = v + Fraction(1, 2**70)
     a = RandomElement(DLO, part, [v, close, Fraction(1, 3)])
     b = RandomElement(DLO, part, [close, v, v])
-    assert _exact_keys(a)[0] == 2 * close.denominator.bit_length() > 64
     for first, second in ((a, b), (b, a)):  # either value object seen first
         _assert_compare_as_values((first, second))
     column = _int_columns(DLO, (a,))[0]
@@ -649,7 +637,6 @@ def test_large_denominators_compare_exactly():
     lo, hi = Fraction(1, 2**40), Fraction(1, 2**40 - 1)
     c = RandomElement(DLO, part, [lo, hi, lo])
     d = RandomElement(DLO, part, [hi, lo, Fraction(1, 2**40)])
-    assert _exact_keys(c)[0] == 82
     _assert_compare_as_values((c, d))
     assert _type_rows(r, (c, d)) == [(0, 1), (1, 0), (0, 0)]
     assert differs(c, d).members == {0, 1}
@@ -667,7 +654,7 @@ def test_large_denominators_compare_exactly():
 def test_mixed_precision_tuples(small, data):
     # one element with only small denominators, another holding some of
     # its values 2**-70 above themselves: the tuple keys both at the fine
-    # element's k, and the small element keeps its own keys at k = 64
+    # element's k
     n = len(small)
     lift = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     fine_values = [
@@ -677,17 +664,11 @@ def test_mixed_precision_tuples(small, data):
     part = Partition((f"w{i}", Fraction(1, n + 1)) for i in range(n + 1))
     a = RandomElement(DLO, part, [*small, small[-1]])
     b = RandomElement(DLO, part, fine_values)
-    kept = _exact_keys(a)
-    assert kept[0] == 64
-    before = kept[1]
-    assert before == tuple((v.numerator << 64) // v.denominator for v in a.values)
     elems = tuple(data.draw(st.permutations([a, b, a])))
     _assert_compare_as_values(elems)
     r = Randomization(DLO, part, {"a": a, "b": b})
     expected = [type_key(DLO, vals) for vals in zip(*(e.values for e in elems))]
     assert _type_rows(r, elems) == expected
-    assert a._keys is kept and a._keys == (64, before)
-    assert _exact_keys(b)[0] > 64
 
 
 def _primes(lo: int, count: int) -> list[int]:
@@ -718,7 +699,8 @@ def test_coprime_denominators_stay_cheap():
     apart = differs(a, c)
     w = witness(r, parse("b < t & t < a"), "t", {"a": "a", "b": "b"})
     assert time.process_time() - start < 5.0
-    # the ints are floor(v * 2**64): for these values in [0, 1], 65 bits
+    # the ints are floor(v * 2**k), k twice the bit length of the largest
+    # denominator, here 32: for these values in [0, 1], at most k + 1 bits
     assert max(k.bit_length() for col in columns for k in col) <= 65
     assert rows == [type_key(DLO, t) for t in zip(a.values, b.values, c.values)]
     places = _places_reference(r, [a, b], c)

@@ -28,8 +28,10 @@ from randcl import (
     definable_closure,
     fo_definable_closure,
     fo_definable_on,
+    fo_event_algebra,
     glue,
     if_less_closure,
+    pointwise_definable_event,
     pointwise_max,
     refine,
     transport_event,
@@ -177,6 +179,38 @@ def test_closure_of_equal_valued_parameters():
     )
     for params in (["a", "b"], ["a", "c"], ["c", "d", "a"], ["d"]):
         _assert_routes_match(r, params)
+
+
+def _answers(r, b, params) -> list:
+    out = [
+        definable_closure(r, params),
+        fo_definable_closure(r, params),
+        fo_event_algebra(r, params),
+        pointwise_definable_event(r, b, params),
+    ]
+    if r.sig.is_dlo:
+        out.append(if_less_closure(r, params))
+    report = definability_report(r, b, params)
+    return [*out, report.paths, report.verdict]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_value_equal_parameter_changes_no_answer(seed):
+    # parameters are kept as given, not deduplicated by value: a copy of
+    # one, in fresh value objects and at any position, is a column equal
+    # to one already there, which no route may tell apart
+    rng = random.Random(seed)
+    r = random_instance(rng)
+    names = list(r.elements)
+    params = [r.element(n) for n in sample_params(rng, r) or [rng.choice(names)]]
+    twin = rng.choice(params).values
+    if r.sig.is_dlo:
+        twin = tuple(Fraction(v.numerator, v.denominator) for v in twin)
+    more = list(params)
+    more.insert(rng.randint(0, len(more)), RandomElement(r.sig, r.partition, twin))
+    b = r.element(rng.choice(names))
+    assert _answers(r, b, more) == _answers(r, b, params)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,11 @@ from randcl import (
 from randcl import closure
 from randcl.checks import corpus, isolating_event_algebra, random_instance, type_key
 from randcl.cli import main
-from randcl.algebra import fo_event_algebra
+from randcl.algebra import fo_event_algebra, pointwise_definable_event
 from randcl.closure import (
     definability_report,
     is_definable_by_isolating_events,
     is_definable_by_pinning,
-    is_pointwise_definable,
     isolating_formula,
     isolating_vars,
 )
@@ -70,7 +69,7 @@ def _ref_pinning(r, b, elems):
 
 
 def _ref_isolating_events(r, b, elems):
-    if not is_pointwise_definable(r, b, elems):
+    if not pointwise_definable_event(r, b, elems).is_top():
         return False
     n = len(elems)
     u = f"v{n + 1}"
